@@ -333,17 +333,43 @@ def batch_loss(model: ModelState, examples: Sequence[Example]) -> float:
     return float(sum(per_example_loss(model, ex) for ex in examples))
 
 
-def _features_matrix(arch: BackboneArch, examples: Sequence[Example]) -> np.ndarray:
-    return np.stack([example_features(arch, ex) for ex in examples])
+@dataclass(frozen=True, eq=False)
+class FeatureBatch:
+    """Input-scaled feature rows with their labels, one row per example.
+
+    Built once per dataset by `featurize`; training steps then work on row
+    slices from `take`. Scaling is elementwise, so a slice holds exactly the
+    values that featurizing the same examples as a batch would give.
+    """
+
+    scaled: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.labels.shape[0])
+
+    def take(self, ids) -> FeatureBatch:
+        """The rows at `ids`, in that order, as a new batch."""
+        return FeatureBatch(self.scaled[ids], self.labels[ids])
 
 
-def _batch_stats(arch: BackboneArch, params: np.ndarray, examples: Sequence[Example]):
-    """Shared forward pass over a batch: scaled features, hidden layer, and
-    the per-example logit gradients p - onehot(label), stacked row-wise."""
+def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
+    """Scaled feature matrix and label vector of a sequence of examples."""
     labels = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=len(examples))
     if labels.size and labels.max() >= arch.class_count:
         raise DomainError(f"label {labels.max()} out of range for {arch.class_count} classes")
-    scaled = _features_matrix(arch, examples) * arch.input_scale
+    if len(examples) == 0:
+        return FeatureBatch(np.zeros((0, arch.feature_dim)), labels)
+    scaled = np.stack([example_features(arch, ex) for ex in examples]) * arch.input_scale
+    return FeatureBatch(scaled, labels)
+
+
+def _batch_stats(arch: BackboneArch, params: np.ndarray, batch: FeatureBatch | Sequence[Example]):
+    """Shared forward pass over a batch: scaled features, hidden layer, and
+    the per-example logit gradients p - onehot(label), stacked row-wise."""
+    if not isinstance(batch, FeatureBatch):
+        batch = featurize(arch, batch)
+    scaled, labels = batch.scaled, batch.labels
     hidden = None
     if arch.kind == "logistic":
         w, b = _unpack_logistic(arch, params)
@@ -360,12 +386,14 @@ def _batch_stats(arch: BackboneArch, params: np.ndarray, examples: Sequence[Exam
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
     dlog = probs.copy()
-    dlog[np.arange(len(examples)), labels] -= 1.0
+    dlog[np.arange(len(labels)), labels] -= 1.0
     return scaled, hidden, probs, dlog, labels
 
 
-def batch_weighted_gradient_fast(model: ModelState, examples: Sequence[Example], weights) -> np.ndarray:
-    """Vectorized sum_i weights_i * grad_i.
+def batch_weighted_gradient_fast(
+    model: ModelState, examples: FeatureBatch | Sequence[Example], weights
+) -> np.ndarray:
+    """Vectorized sum_i weights_i * grad_i over a FeatureBatch or examples.
 
     Same quantity as batch_weighted_gradient up to floating-point summation
     order (matrix products instead of a per-example loop); agreement is
@@ -397,7 +425,9 @@ def _weighted_gradient_math(arch: BackboneArch, params: np.ndarray, examples, we
     return np.concatenate([np.einsum("bc,bd,be->cde", wd, u, v).ravel(), wd.sum(axis=0)])
 
 
-def alignment_scores(model: ModelState, examples: Sequence[Example], reference: np.ndarray) -> np.ndarray:
+def alignment_scores(
+    model: ModelState, examples: FeatureBatch | Sequence[Example], reference: np.ndarray
+) -> np.ndarray:
     """<grad_i, reference> for every example, without materializing the grads.
 
     Expands the inner product block by block; equals stacking the

@@ -69,6 +69,11 @@ class RegulatorSection:
     clamp_nonnegative: bool = True
     target_batch_size: int | None = None
 
+    def __post_init__(self):
+        size = self.target_batch_size
+        if size is not None and not _is_a(size, int):
+            raise ConfigError(f"target_batch_size must be an integer or null, got {size!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -143,8 +148,24 @@ def _build(cls, mapping: Mapping, where: str):
         raise ConfigError(f"bad {where} section: {exc}") from None
 
 
+# Top-level scalars and the types they must have; bool is never a number here.
+_SCALAR_TYPES = {"alpha": (int, float), "epochs": (int,), "batch_size": (int,), "n_permutations": (int,)}
+
+
+def _is_a(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _int_list(raw: Mapping, key: str) -> tuple[int, ...]:
+    values = raw.get(key, ())
+    if not isinstance(values, (list, tuple)) or not all(_is_a(v, int) for v in values):
+        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    """Strict parse: every unknown key at any level is an error."""
+    """Strict parse: every unknown key at any level is an error, and the
+    top-level numbers and integer lists must have their types."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config must be a mapping")
     _require_keys(raw, _TOP_KEYS, "config")
@@ -169,13 +190,17 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     for key in ("alpha", "epochs", "batch_size", "reference_method", "n_permutations", "output_dir"):
         if key in raw:
             kwargs[key] = raw[key]
+    for key, types in _SCALAR_TYPES.items():
+        if key in kwargs and not _is_a(kwargs[key], types):
+            kind = "a number" if float in types else "an integer"
+            raise ConfigError(f"{key} must be {kind}, got {kwargs[key]!r}")
     return ExperimentConfig(
         data_synthetic=synthetic,
         data_files=files,
         backbone=backbone,
         methods=tuple(raw.get("methods", ())),
-        shots=tuple(int(s) for s in raw.get("shots", ())),
-        seeds=tuple(int(s) for s in raw.get("seeds", ())),
+        shots=_int_list(raw, "shots"),
+        seeds=_int_list(raw, "seeds"),
         regulator=regulator,
         **kwargs,
     )
@@ -423,13 +448,22 @@ def table_to_dict(table: ResultsTable) -> dict:
 
 
 def table_from_dict(payload: Mapping) -> ResultsTable:
-    return ResultsTable(
-        rows=tuple(CellResult(**r) for r in payload["rows"]),
-        aggregates=tuple(AggregateRow(**r) for r in payload["aggregates"]),
-        errors=tuple(CellError(**e) for e in payload["errors"]),
-        config=dict(payload["config"]),
-        manifests=tuple(payload.get("manifests", ())),
-    )
+    """Inverse of table_to_dict; a missing or malformed table is a DataError."""
+    if not isinstance(payload, Mapping):
+        raise DataError("results must be a JSON object")
+    missing = [key for key in ("config", "rows", "aggregates", "errors") if key not in payload]
+    if missing:
+        raise DataError(f"results lack the key(s) {missing}")
+    try:
+        return ResultsTable(
+            rows=tuple(CellResult(**r) for r in payload["rows"]),
+            aggregates=tuple(AggregateRow(**r) for r in payload["aggregates"]),
+            errors=tuple(CellError(**e) for e in payload["errors"]),
+            config=dict(payload["config"]),
+            manifests=tuple(payload.get("manifests", ())),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed results table: {exc}") from None
 
 
 def load_results(path) -> ResultsTable:
@@ -438,7 +472,10 @@ def load_results(path) -> ResultsTable:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
-    return table_from_dict(payload)
+    try:
+        return table_from_dict(payload)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def emit_results(table: ResultsTable, out_dir) -> dict[str, Path]:

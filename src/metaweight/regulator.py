@@ -35,6 +35,7 @@ import numpy as np
 
 from .backbones import (
     Example,
+    FeatureBatch,
     ModelState,
     alignment_scores,
     batch_loss,
@@ -166,33 +167,38 @@ def weighted_training_step(model: ModelState, batch: Sequence[Example], regulate
     return ModelState(model.params - float(alpha) * grad, model.arch)
 
 
-def select_target_batch(target_set: Sequence[Example], cfg: RegulatorConfig, rng: RngState) -> tuple[Example, ...]:
+def select_target_batch(
+    target_set: FeatureBatch | Sequence[Example], cfg: RegulatorConfig, rng: RngState
+) -> FeatureBatch | tuple[Example, ...]:
     """Target examples for one step: the full set, or a class-balanced seeded draw.
 
     With target_batch_size None the full set is used whenever it holds at
     most TARGET_BATCH_CAP examples; larger sets fall back to a balanced
-    draw of TARGET_BATCH_CAP.
+    draw of TARGET_BATCH_CAP. The draw takes one permutation per class in
+    ascending class order and keeps the picked rows in set order. A
+    FeatureBatch gives a FeatureBatch of the picked rows (the set itself
+    when it is used whole); examples give a tuple of examples.
     """
+    rows = isinstance(target_set, FeatureBatch)
     size = cfg.target_batch_size
     if size is None:
-        if len(target_set) <= TARGET_BATCH_CAP:
-            return tuple(target_set)
-        size = TARGET_BATCH_CAP
+        size = min(len(target_set), TARGET_BATCH_CAP)
     if size >= len(target_set):
-        return tuple(target_set)
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(target_set):
-        by_class.setdefault(ex.label, []).append(i)
-    classes = sorted(by_class)
+        return target_set if rows else tuple(target_set)
+    if rows:
+        labels = target_set.labels
+    else:
+        labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
+    classes = np.unique(labels)
     base, extra = divmod(size, len(classes))
-    chosen: list[int] = []
+    chosen = []
     for rank, cls in enumerate(classes):
-        members = by_class[cls]
+        members = np.flatnonzero(labels == cls)
         take = min(base + (1 if rank < extra else 0), len(members))
         order = rng.permutation(len(members))
-        chosen.extend(members[j] for j in order[:take])
-    chosen.sort()
-    return tuple(target_set[i] for i in chosen)
+        chosen.append(members[order[:take]])
+    picked = np.sort(np.concatenate(chosen))
+    return target_set.take(picked) if rows else tuple(target_set[i] for i in picked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +213,8 @@ class StepDetail:
 
 def mwr_step_detail(
     model: ModelState,
-    source_batch: Sequence[Example],
-    target_set: Sequence[Example],
+    source_batch: FeatureBatch | Sequence[Example],
+    target_set: FeatureBatch | Sequence[Example],
     cfg: RegulatorConfig,
     rng: RngState,
 ) -> StepDetail:
@@ -217,7 +223,8 @@ def mwr_step_detail(
     Produces the same model and weights as composing init_weights,
     virtual_update, weight_meta_gradient, regulate_weights and
     weighted_training_step, but shares the g_i across the three places
-    they appear.
+    they appear. Both sets may be FeatureBatch rows or example sequences;
+    either gives bit-identical results.
     """
     if len(source_batch) == 0:
         raise DomainError("source batch must be non-empty")
@@ -245,8 +252,8 @@ def mwr_step_detail(
 
 def mwr_step(
     model: ModelState,
-    source_batch: Sequence[Example],
-    target_set: Sequence[Example],
+    source_batch: FeatureBatch | Sequence[Example],
+    target_set: FeatureBatch | Sequence[Example],
     cfg: RegulatorConfig,
     rng: RngState,
 ) -> tuple[ModelState, np.ndarray]:

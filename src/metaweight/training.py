@@ -6,6 +6,10 @@ reweighted step with unit weights coincide exactly. Fixed budget, no
 schedule, no early stopping: a run is `epochs` full passes. Callers supply
 the initial model, which makes it easy to hold the initialization constant
 across methods when comparing them.
+
+Each run featurizes its training sets once into a FeatureBatch and every
+step trains on a row slice of it, which gives bit for bit the numbers of
+featurizing each batch afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbones import BackboneArch, Example, ModelState, batch_weighted_gradient_fast, build_embedding
+from .backbones import (
+    BackboneArch,
+    Example,
+    FeatureBatch,
+    ModelState,
+    batch_weighted_gradient_fast,
+    build_embedding,
+    featurize,
+)
 from .errors import ConfigError, DomainError
 from .regulator import RegulatorConfig, mwr_step_detail, target_loss
 from .vectors import RngState, derive_seed
@@ -52,6 +64,8 @@ class TrainSpec:
                 )
             elif self.regulator.learning_rate != self.alpha:
                 raise ConfigError("the regulator learning_rate must equal the TrainSpec alpha")
+            elif self.regulator.source_batch_size != self.batch_size:
+                raise ConfigError("the regulator source_batch_size must equal the TrainSpec batch_size")
 
 
 @dataclass(frozen=True)
@@ -78,17 +92,19 @@ def merge_datasets(s_train: Sequence[Example], t_fs: Sequence[Example]) -> tuple
 
 
 def sgd_epoch(
-    model: ModelState, data: Sequence[Example], alpha: float, batch_size: int, rng: RngState
+    model: ModelState, data: FeatureBatch | Sequence[Example], alpha: float, batch_size: int, rng: RngState
 ) -> ModelState:
     """One shuffled pass of summed-loss mini-batch gradient descent."""
     if len(data) == 0:
         raise DomainError("sgd_epoch needs a non-empty dataset")
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
+    if not isinstance(data, FeatureBatch):
+        data = featurize(model.arch, data)
     order = rng.permutation(len(data))
     params = model.params
     for start in range(0, len(order), batch_size):
-        batch = [data[i] for i in order[start : start + batch_size]]
+        batch = data.take(order[start : start + batch_size])
         probe = ModelState(params, model.arch)
         grad = batch_weighted_gradient_fast(probe, batch, np.ones(len(batch)))
         with np.errstate(over="ignore"):
@@ -102,9 +118,10 @@ def train_backbone_only(spec: TrainSpec, model: ModelState, t_fs: Sequence[Examp
         raise DomainError("target few-shot set must be non-empty")
     rng = RngState(derive_seed(spec.seed, "backbone_only"))
     initial = model.params
+    target = featurize(model.arch, t_fs)
     trace = []
     for _ in range(spec.epochs):
-        model = sgd_epoch(model, t_fs, spec.alpha, spec.batch_size, rng)
+        model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
         trace.append(target_loss(model.arch, model.params, t_fs))
     return TrainReport("backbone_only", spec.seed, model, initial, tuple(trace))
 
@@ -121,11 +138,13 @@ def train_fine_tuning(
         raise DomainError("both training sets must be non-empty")
     rng = RngState(derive_seed(spec.seed, "fine_tuning"))
     initial = model.params
+    source = featurize(model.arch, s_train)
     for _ in range(spec.epochs):
-        model = sgd_epoch(model, s_train, spec.alpha, spec.batch_size, rng)
+        model = sgd_epoch(model, source, spec.alpha, spec.batch_size, rng)
+    target = featurize(model.arch, t_fs)
     trace = []
     for _ in range(spec.epochs):
-        model = sgd_epoch(model, t_fs, spec.alpha, spec.batch_size, rng)
+        model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
         trace.append(target_loss(model.arch, model.params, t_fs))
     return TrainReport("fine_tuning", spec.seed, model, initial, tuple(trace))
 
@@ -136,7 +155,7 @@ def train_data_merging(
     """Train on the concatenated source plus few-shot target pool."""
     if len(s_train) == 0 or len(t_fs) == 0:
         raise DomainError("both training sets must be non-empty")
-    merged = merge_datasets(s_train, t_fs)
+    merged = featurize(model.arch, merge_datasets(s_train, t_fs))
     rng = RngState(derive_seed(spec.seed, "data_merging"))
     initial = model.params
     trace = []
@@ -161,19 +180,20 @@ def train_mwr(
         raise ConfigError("mwr training needs a RegulatorConfig")
     rng = RngState(derive_seed(spec.seed, "mwr"))
     initial = model.params
+    source = featurize(model.arch, s_train)
+    target = featurize(model.arch, t_fs)
     trace = []
     rows: list[WeightTraceRow] = []
     step = 0
     for _ in range(spec.epochs):
-        order = rng.permutation(len(s_train))
+        order = rng.permutation(len(source))
         for start in range(0, len(order), cfg.source_batch_size):
-            ids = [int(i) for i in order[start : start + cfg.source_batch_size]]
-            batch = [s_train[i] for i in ids]
-            detail = mwr_step_detail(model, batch, t_fs, cfg, rng)
+            picked = order[start : start + cfg.source_batch_size]
+            detail = mwr_step_detail(model, source.take(picked), target, cfg, rng)
             model = detail.model
             rows.extend(
                 WeightTraceRow(step, ex_id, float(m), float(w))
-                for ex_id, m, w in zip(ids, detail.metagrad, detail.weights)
+                for ex_id, m, w in zip(picked.tolist(), detail.metagrad, detail.weights)
             )
             step += 1
         trace.append(target_loss(model.arch, model.params, t_fs))

@@ -1,12 +1,15 @@
-"""Shared test utilities: finite-difference oracles and tolerance checks."""
+"""Shared test utilities: finite-difference oracles, per-step training
+loops over example batches, and tolerance checks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from metaweight.backbones import BackboneArch, Example, ModelState, build_embedding
+from metaweight.backbones import BackboneArch, Example, ModelState, batch_weighted_gradient_fast, build_embedding
 from metaweight.data import ShiftSpec, gen_synthetic_shift
-from metaweight.vectors import RngState
+from metaweight.regulator import mwr_step_detail
+from metaweight.training import merge_datasets
+from metaweight.vectors import RngState, derive_seed
 
 
 def central_difference_gradient(func, x0: np.ndarray, h: float) -> np.ndarray:
@@ -54,3 +57,37 @@ def random_model(arch: BackboneArch, seed: int) -> ModelState:
 
 def make_example(a, b, label: int) -> Example:
     return Example(tuple(a), tuple(b), label)
+
+
+def mwr_loop(spec, model: ModelState, s_train, t_fs):
+    """train_mwr as a loop that hands every step lists of examples, which
+    each step featurizes afresh. Returns the final model and the weight
+    trace as (step, example_id, metagrad, weight) tuples."""
+    cfg = spec.regulator
+    rng = RngState(derive_seed(spec.seed, "mwr"))
+    rows = []
+    step = 0
+    for _ in range(spec.epochs):
+        order = rng.permutation(len(s_train))
+        for start in range(0, len(order), cfg.source_batch_size):
+            ids = [int(i) for i in order[start : start + cfg.source_batch_size]]
+            detail = mwr_step_detail(model, [s_train[i] for i in ids], t_fs, cfg, rng)
+            model = detail.model
+            rows.extend((step, i, float(m), float(w)) for i, m, w in zip(ids, detail.metagrad, detail.weights))
+            step += 1
+    return model, rows
+
+
+def data_merging_loop(spec, model: ModelState, s_train, t_fs) -> ModelState:
+    """train_data_merging as a loop of summed-loss steps over example batches."""
+    data = merge_datasets(s_train, t_fs)
+    rng = RngState(derive_seed(spec.seed, "data_merging"))
+    for _ in range(spec.epochs):
+        order = rng.permutation(len(data))
+        params = model.params
+        for start in range(0, len(order), spec.batch_size):
+            batch = [data[i] for i in order[start : start + spec.batch_size]]
+            grad = batch_weighted_gradient_fast(ModelState(params, model.arch), batch, np.ones(len(batch)))
+            params = params - spec.alpha * grad
+        model = ModelState(params, model.arch)
+    return model

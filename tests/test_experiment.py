@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metaweight.cli import main
-from metaweight.errors import ConfigError
+from metaweight.errors import ConfigError, DataError
 from metaweight.experiment import (
     ExperimentConfig,
     config_from_dict,
@@ -85,6 +85,23 @@ class TestConfigParsing:
             config_from_dict(_tiny_config(methods=["prompting"]))
         with pytest.raises(ConfigError):
             config_from_dict(_tiny_config(methods=["mwr", "mwr"]))
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"seeds": 3}, "seeds"),
+            ({"seeds": [1, "2"]}, "seeds"),
+            ({"shots": [5.0]}, "shots"),
+            ({"alpha": "0.05"}, "alpha"),
+            ({"epochs": 2.5}, "epochs"),
+            ({"batch_size": True}, "batch_size"),
+            ({"n_permutations": None}, "n_permutations"),
+            ({"regulator": {"target_batch_size": "8"}}, "target_batch_size"),
+        ],
+    )
+    def test_wrong_types_are_config_errors(self, override, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(_tiny_config(**override))
 
 
 class TestRunExperiment:
@@ -276,6 +293,22 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--method", "notamethod", "--target-fs", "x.tsv"]) == 1
         assert main(["bogus-subcommand"]) == 1
+
+    @pytest.mark.parametrize("override", [{"seeds": 3}, {"alpha": "0.05"}])
+    def test_wrong_config_type_exit_code(self, tmp_path, capsys, override):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_tiny_config(**override)))
+        assert main(["experiment", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_report_without_tables_exit_code(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"config": {}}))
+        assert main(["report", "--results", str(results), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "'rows'" in err
+        with pytest.raises(DataError, match="aggregates"):
+            table_from_dict({"config": {}, "rows": [], "errors": []})
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

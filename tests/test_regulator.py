@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from helpers import max_relative_error, random_model, small_arch, small_task
-from metaweight.backbones import Example, ModelState, per_example_gradient, per_example_loss
+from metaweight.backbones import (
+    BackboneArch,
+    Example,
+    FeatureBatch,
+    ModelState,
+    build_embedding,
+    featurize,
+    per_example_gradient,
+    per_example_loss,
+)
 from metaweight.errors import ConfigError, DimensionError, DomainError
 from metaweight.regulator import (
+    TARGET_BATCH_CAP,
     RegulatorConfig,
     init_weights,
     mwr_step,
@@ -364,6 +374,53 @@ class TestMwrStep:
             mwr_step(model, [], tgt.examples[:2], cfg, RngState(0))
         with pytest.raises(DomainError):
             mwr_step(model, src.examples[:2], [], cfg, RngState(0))
+
+
+class TestFeatureBatchPath:
+    """FeatureBatch rows and example sequences give bit-identical steps."""
+
+    @staticmethod
+    def _uneven_targets(n):
+        # three classes of unequal size, so the balanced draw is uneven
+        return [Example((f"t{i}", "x"), (f"u{i}",), (0, 0, 1, 2, 2)[i % 5]) for i in range(n)]
+
+    @pytest.mark.parametrize("n, size", [(TARGET_BATCH_CAP + 150, None), (40, 7), (40, None)])
+    def test_select_target_batch_same_rows_and_cursor(self, n, size):
+        arch = BackboneArch("logistic", build_embedding(5, 64, 4), 3)
+        targets = self._uneven_targets(n)
+        cfg = RegulatorConfig(learning_rate=0.1, target_batch_size=size)
+        rng_rows, rng_examples = RngState(8), RngState(8)
+        rows = select_target_batch(featurize(arch, targets), cfg, rng_rows)
+        examples = select_target_batch(targets, cfg, rng_examples)
+        assert isinstance(rows, FeatureBatch)
+        expected = featurize(arch, examples)
+        assert np.array_equal(rows.scaled, expected.scaled)
+        assert np.array_equal(rows.labels, expected.labels)
+        assert rng_rows.position == rng_examples.position
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "bilinear"])
+    @pytest.mark.parametrize("policy, size", [("zero", None), ("random", 6), ("one", 5)])
+    def test_mwr_step_detail_same_as_examples(self, kind, policy, size):
+        src, tgt = small_task(seed=52, n_source=24, n_target=20)
+        arch = small_arch(kind)
+        model = random_model(arch, 4)
+        batch, targets = list(src.examples[:9]), list(tgt.examples)
+        cfg = RegulatorConfig(learning_rate=0.3, init_policy=policy, target_batch_size=size)
+        rng_rows, rng_examples = RngState(21), RngState(21)
+        rows = mwr_step_detail(model, featurize(arch, batch), featurize(arch, targets), cfg, rng_rows)
+        examples = mwr_step_detail(model, batch, targets, cfg, rng_examples)
+        assert np.array_equal(rows.model.params, examples.model.params)
+        assert np.array_equal(rows.weights, examples.weights)
+        assert np.array_equal(rows.metagrad, examples.metagrad)
+        assert rng_rows.position == rng_examples.position
+
+    def test_take_is_featurizing_the_rows(self):
+        src, _ = small_task(seed=53, n_source=20, n_target=8)
+        arch = small_arch("mlp")
+        ids = np.array([7, 2, 19, 2])
+        taken = featurize(arch, src.examples).take(ids)
+        assert len(taken) == 4
+        assert np.array_equal(taken.scaled, featurize(arch, [src.examples[i] for i in ids]).scaled)
 
 
 class TestRegulatorConfig:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import max_relative_error
+from helpers import data_merging_loop, max_relative_error, mwr_loop
 from metaweight.backbones import BackboneArch, Example, ModelState, build_embedding
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, sample_few_shot
 from metaweight.errors import ConfigError, DomainError
@@ -93,6 +93,10 @@ class TestTrainSpec:
     def test_mwr_alpha_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             TrainSpec(method="mwr", alpha=0.1, regulator=RegulatorConfig(learning_rate=0.2))
+
+    def test_mwr_batch_size_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="source_batch_size"):
+            TrainSpec(method="mwr", batch_size=16, regulator=RegulatorConfig(source_batch_size=64))
 
 
 class TestBackboneOnly:
@@ -259,6 +263,31 @@ class TestTrainMwr:
         b = train_mwr(spec, _model(), src.examples, t_fs.examples)
         assert np.array_equal(a.model.params, b.model.params)
         assert a.weight_trace == b.weight_trace
+
+
+class TestFeaturizedRunsMatchExampleLoops:
+    """Training on row slices of featurized sets equals the per-step loops
+    over example batches in tests/helpers.py, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "bilinear"])
+    def test_train_mwr(self, kind):
+        _, src, t_fs, _ = _task(flip=0.3, n_source=120, n_target=60)
+        model = _model(kind=kind)
+        # a target batch smaller than the target set makes every step draw one
+        reg = RegulatorConfig(learning_rate=0.05, init_policy="random", source_batch_size=8, target_batch_size=12)
+        spec = TrainSpec(method="mwr", epochs=2, alpha=0.05, seed=3, batch_size=8, regulator=reg)
+        report = train_mwr(spec, model, src.examples, t_fs.examples)
+        oracle, rows = mwr_loop(spec, model, src.examples, t_fs.examples)
+        assert np.array_equal(report.model.params, oracle.params)
+        assert [(r.step, r.example_id, r.metagrad, r.weight) for r in report.weight_trace] == rows
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "bilinear"])
+    def test_train_data_merging(self, kind):
+        _, src, t_fs, _ = _task(n_source=120, n_target=60)
+        model = _model(kind=kind)
+        spec = TrainSpec(method="data_merging", epochs=2, alpha=0.05, seed=3, batch_size=8)
+        report = train_data_merging(spec, model, src.examples, t_fs.examples)
+        assert np.array_equal(report.model.params, data_merging_loop(spec, model, src.examples, t_fs.examples).params)
 
 
 class TestHarness:
