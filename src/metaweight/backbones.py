@@ -1,4 +1,4 @@
-"""Text-pair classifiers with hand-derived gradients in a flat parameter vector.
+"""Text-pair classifiers over a flat parameter vector, with hand-derived derivatives.
 
 A pair of token sequences is encoded through a frozen table of hashed
 random embeddings: u and v are the mean embeddings of the two sides and the
@@ -25,12 +25,23 @@ product block would be numerically invisible. The conditioning is part of
 the architecture: f enters the formulas above as
 [g u, g v, g |u - v|, g^2 (u * v)].
 
-The loss is per-example cross-entropy with the probability floored at
-PROB_FLOOR before the log. Gradients are closed form: with
-p = softmax(logits) and e_l the one-hot label, d(-log p_l)/dlogits = p - e_l,
-back-propagated by hand through each family. The floor only bounds the
-reported loss; where it binds (true-class probability below 1e-12) the
-analytic gradient is that of the unfloored loss.
+Each family is written once, as three private functions of a matrix X of
+scaled feature rows, with J_i = d logits_i / d params:
+
+    _forward(params, X)            -> logits (n, C), and the mlp hidden layer
+    _vjp(params, X, hidden, dlog)  -> sum_i dlog_i' J_i, a flat parameter vector
+    _jvp(params, X, hidden, r)     -> J_i r for every row, an (n, C) matrix
+
+All three are 2-D matrix products; logistic and bilinear logits are linear
+in the parameters, so their J_i r is _forward at r. The rest is generic and
+treats one example as a one-row batch. The loss is cross-entropy with the
+probability floored at PROB_FLOOR before the log, and its gradient in the
+logits is dlog_i = p_i - e_l for p = softmax(logits) and the one-hot label
+e_l. The weighted gradient sum_i w_i g_i is _vjp of the rows w_i dlog_i,
+and the alignment <g_i, r> is the row-wise dot dlog_i' (J_i r), so no
+per-example gradient is formed. The floor only bounds the reported loss;
+where it binds (true-class probability below 1e-12) the analytic gradient
+is that of the unfloored loss.
 
 Nothing here mutates a ModelState or an EmbeddingTable: every update
 constructs a new state from a new vector, and embedding values are marked
@@ -236,23 +247,61 @@ def _unpack_bilinear(arch: BackboneArch, params: np.ndarray):
     return params[: c * d * d].reshape(c, d, d), params[c * d * d :]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def _logits(arch: BackboneArch, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    scaled = arch.input_scale * features
+def _forward(arch: BackboneArch, params: np.ndarray, X: np.ndarray):
+    """Logits (n, C) of the scaled feature rows X, and the hidden layer that
+    _vjp and _jvp reuse (None for the families without one)."""
     if arch.kind == "logistic":
         w, b = _unpack_logistic(arch, params)
-        return w @ scaled + b
+        return X @ w.T + b, None
     if arch.kind == "mlp":
         w1, b1, w2, b2 = _unpack_mlp(arch, params)
-        return w2 @ np.tanh(w1 @ scaled + b1) + b2
+        hidden = np.tanh(X @ w1.T + b1)
+        return hidden @ w2.T + b2, hidden
     w, b = _unpack_bilinear(arch, params)
     d = arch.embedding.dim
-    u, v = scaled[:d], scaled[d : 2 * d]
-    return (w @ v) @ u + b
+    u, v = X[:, :d], X[:, d : 2 * d]
+    # one (n, d) x (d, d) product per class, then a row-wise dot with v
+    return ((u @ w) * v).sum(axis=2).T + b, None
+
+
+def _vjp(arch: BackboneArch, params: np.ndarray, X: np.ndarray, hidden, dlog: np.ndarray) -> np.ndarray:
+    """Flat sum_i dlog_i' J_i, where J_i = d logits_i / d params at the rows X."""
+    if arch.kind == "logistic":
+        return np.concatenate([(dlog.T @ X).ravel(), dlog.sum(axis=0)])
+    if arch.kind == "mlp":
+        w1, b1, w2, b2 = _unpack_mlp(arch, params)
+        dpre = (dlog @ w2) * (1.0 - hidden * hidden)
+        return np.concatenate(
+            [(dpre.T @ X).ravel(), dpre.sum(axis=0), (dlog.T @ hidden).ravel(), dlog.sum(axis=0)]
+        )
+    c, d = arch.class_count, arch.embedding.dim
+    u, v = X[:, :d], X[:, d : 2 * d]
+    # dW_c = sum_i dlog_ic u_i v_i' for every class in one (C d, n) x (n, d) product
+    du = (dlog[:, :, None] * u[:, None, :]).reshape(len(X), c * d)
+    return np.concatenate([(du.T @ v).ravel(), dlog.sum(axis=0)])
+
+
+def _jvp(arch: BackboneArch, params: np.ndarray, X: np.ndarray, hidden, r: np.ndarray) -> np.ndarray:
+    """J_i r for every row: the derivative of logits_i along the parameter direction r."""
+    if arch.kind == "mlp":
+        w1, b1, w2, b2 = _unpack_mlp(arch, params)
+        rw1, rb1, rw2, rb2 = _unpack_mlp(arch, r)
+        dpre = (X @ rw1.T + rb1) * (1.0 - hidden * hidden)
+        return hidden @ rw2.T + rb2 + dpre @ w2.T
+    # logistic and bilinear logits are linear in the parameters, so J_i r = logits_i(r)
+    return _forward(arch, r, X)[0]
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _probs(arch: BackboneArch, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class probabilities of the scaled feature rows X."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = _forward(arch, params, X)
+        return _softmax(logits)
 
 
 def forward(model: ModelState, features) -> np.ndarray:
@@ -262,75 +311,29 @@ def forward(model: ModelState, features) -> np.ndarray:
         raise DimensionError(
             f"feature length {features.shape[0]} != architecture feature dim {model.arch.feature_dim}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = _softmax(_logits(model.arch, model.params, features))
+    probs = _probs(model.arch, model.params, (model.arch.input_scale * features)[None, :])[0]
     return require_finite(probs, "forward probabilities")
 
 
-def _check_label(model: ModelState, example: Example) -> None:
-    if example.label >= model.class_count:
-        raise DomainError(f"label {example.label} out of range for {model.class_count} classes")
-
-
 def per_example_loss(model: ModelState, example: Example) -> float:
-    """Cross-entropy -log p(label), with the probability floored at PROB_FLOOR."""
-    _check_label(model, example)
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = _softmax(_logits(model.arch, model.params, example_features(model.arch, example)))
-    loss = -math.log(max(float(probs[example.label]), PROB_FLOOR))
-    if not math.isfinite(loss):
-        raise NumericalError("non-finite per-example loss")
-    return loss
-
-
-def _gradient_from_features(arch: BackboneArch, params: np.ndarray, features: np.ndarray, label: int) -> np.ndarray:
-    scaled = arch.input_scale * features
-    if arch.kind == "logistic":
-        w, b = _unpack_logistic(arch, params)
-        dlog = _softmax(w @ scaled + b)
-        dlog[label] -= 1.0
-        return np.concatenate([np.outer(dlog, scaled).ravel(), dlog])
-    if arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, params)
-        hidden = np.tanh(w1 @ scaled + b1)
-        dlog = _softmax(w2 @ hidden + b2)
-        dlog[label] -= 1.0
-        dpre = (w2.T @ dlog) * (1.0 - hidden * hidden)
-        return np.concatenate(
-            [np.outer(dpre, scaled).ravel(), dpre, np.outer(dlog, hidden).ravel(), dlog]
-        )
-    w, b = _unpack_bilinear(arch, params)
-    d = arch.embedding.dim
-    u, v = scaled[:d], scaled[d : 2 * d]
-    dlog = _softmax((w @ v) @ u + b)
-    dlog[label] -= 1.0
-    return np.concatenate([(dlog[:, None, None] * np.outer(u, v)[None, :, :]).ravel(), dlog])
+    """Cross-entropy -log p(label), with the probability floored at PROB_FLOOR;
+    the probabilities are bit for bit those `forward` gives for the example."""
+    return batch_loss(model, (example,))
 
 
 def per_example_gradient(model: ModelState, example: Example) -> np.ndarray:
     """Exact gradient of the per-example cross-entropy in the flat parameters."""
-    _check_label(model, example)
-    features = example_features(model.arch, example)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = _gradient_from_features(model.arch, model.params, features, example.label)
-    return require_finite(grad, "per-example gradient")
-
-
-def batch_weighted_gradient(model: ModelState, examples: Sequence[Example], weights) -> np.ndarray:
-    """sum_i weights_i * grad_i, accumulated in batch order (fixed reduction)."""
-    weights = as_vector(weights)
-    if weights.shape[0] != len(examples):
-        raise DimensionError(f"{len(examples)} examples but {weights.shape[0]} weights")
-    total = np.zeros(model.arch.param_count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w_i, ex in zip(weights, examples):
-            total += float(w_i) * per_example_gradient(model, ex)
-    return require_finite(total, "batch gradient")
+    return batch_weighted_gradient_fast(model, (example,), np.ones(1))
 
 
 def batch_loss(model: ModelState, examples: Sequence[Example]) -> float:
-    """Summed per-example cross-entropy over a batch."""
-    return float(sum(per_example_loss(model, ex) for ex in examples))
+    """Summed per-example cross-entropy over a batch, from one forward pass."""
+    batch = featurize(model.arch, examples)
+    probs = _probs(model.arch, model.params, batch.scaled)[np.arange(len(batch)), batch.labels]
+    loss = float(-np.log(np.maximum(probs, PROB_FLOOR)).sum())
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite loss")
+    return loss
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,101 +367,41 @@ def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
     return FeatureBatch(scaled, labels)
 
 
-def _batch_stats(arch: BackboneArch, params: np.ndarray, batch: FeatureBatch | Sequence[Example]):
-    """Shared forward pass over a batch: scaled features, hidden layer, and
-    the per-example logit gradients p - onehot(label), stacked row-wise."""
-    if not isinstance(batch, FeatureBatch):
-        batch = featurize(arch, batch)
-    scaled, labels = batch.scaled, batch.labels
-    hidden = None
-    if arch.kind == "logistic":
-        w, b = _unpack_logistic(arch, params)
-        logits = scaled @ w.T + b
-    elif arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, params)
-        hidden = np.tanh(scaled @ w1.T + b1)
-        logits = hidden @ w2.T + b2
-    else:
-        w, b = _unpack_bilinear(arch, params)
-        d = arch.embedding.dim
-        u, v = scaled[:, :d], scaled[:, d : 2 * d]
-        logits = np.einsum("bd,cde,be->bc", u, w, v) + b
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = shifted / shifted.sum(axis=1, keepdims=True)
-    dlog = probs.copy()
-    dlog[np.arange(len(labels)), labels] -= 1.0
-    return scaled, hidden, probs, dlog, labels
+def _logit_gradients(model: ModelState, examples: FeatureBatch | Sequence[Example]):
+    """The scaled rows, the hidden layer, and each row's cross-entropy
+    gradient in its logits, p - onehot(label)."""
+    batch = examples if isinstance(examples, FeatureBatch) else featurize(model.arch, examples)
+    logits, hidden = _forward(model.arch, model.params, batch.scaled)
+    dlog = _softmax(logits)
+    dlog[np.arange(len(batch)), batch.labels] -= 1.0
+    return batch.scaled, hidden, dlog
 
 
 def batch_weighted_gradient_fast(
     model: ModelState, examples: FeatureBatch | Sequence[Example], weights
 ) -> np.ndarray:
-    """Vectorized sum_i weights_i * grad_i over a FeatureBatch or examples.
-
-    Same quantity as batch_weighted_gradient up to floating-point summation
-    order (matrix products instead of a per-example loop); agreement is
-    checked against the reference loop in the test suite.
-    """
+    """sum_i weights_i * grad_i over a FeatureBatch or examples, as one VJP;
+    the per-example gradients are never materialized."""
     weights = as_vector(weights)
     if weights.shape[0] != len(examples):
         raise DimensionError(f"{len(examples)} examples but {weights.shape[0]} weights")
-    if len(examples) == 0:
-        return np.zeros(model.arch.param_count)
-    arch = model.arch
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(_weighted_gradient_math(arch, model.params, examples, weights), "batch gradient")
-
-
-def _weighted_gradient_math(arch: BackboneArch, params: np.ndarray, examples, weights) -> np.ndarray:
-    scaled, hidden, _, dlog, _ = _batch_stats(arch, params, examples)
-    wd = dlog * weights[:, None]
-    if arch.kind == "logistic":
-        return np.concatenate([(wd.T @ scaled).ravel(), wd.sum(axis=0)])
-    if arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, params)
-        dpre = (wd @ w2) * (1.0 - hidden * hidden)
-        return np.concatenate(
-            [(dpre.T @ scaled).ravel(), dpre.sum(axis=0), (wd.T @ hidden).ravel(), wd.sum(axis=0)]
-        )
-    d = arch.embedding.dim
-    u, v = scaled[:, :d], scaled[:, d : 2 * d]
-    return np.concatenate([np.einsum("bc,bd,be->cde", wd, u, v).ravel(), wd.sum(axis=0)])
+        X, hidden, dlog = _logit_gradients(model, examples)
+        grad = _vjp(model.arch, model.params, X, hidden, dlog * weights[:, None])
+    return require_finite(grad, "batch gradient")
 
 
 def alignment_scores(
     model: ModelState, examples: FeatureBatch | Sequence[Example], reference: np.ndarray
 ) -> np.ndarray:
-    """<grad_i, reference> for every example, without materializing the grads.
-
-    Expands the inner product block by block; equals stacking the
-    per-example gradients and multiplying, up to float summation order.
-    """
+    """<grad_i, reference> for every example, as dlog_i' (J_i reference);
+    the per-example gradients are never materialized."""
     reference = as_vector(reference)
     if reference.shape[0] != model.arch.param_count:
         raise DimensionError(
             f"reference has length {reference.shape[0]}, expected {model.arch.param_count}"
         )
-    if len(examples) == 0:
-        return np.zeros(0)
-    arch = model.arch
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled, hidden, _, dlog, _ = _batch_stats(arch, model.params, examples)
-    if arch.kind == "logistic":
-        rw, rb = _unpack_logistic(arch, reference)
-        scores = np.einsum("bc,cf,bf->b", dlog, rw, scaled) + dlog @ rb
-    elif arch.kind == "mlp":
-        w1, b1, w2, b2 = _unpack_mlp(arch, model.params)
-        rw1, rb1, rw2, rb2 = _unpack_mlp(arch, reference)
-        dpre = (dlog @ w2) * (1.0 - hidden * hidden)
-        scores = (
-            np.einsum("bh,hf,bf->b", dpre, rw1, scaled)
-            + dpre @ rb1
-            + np.einsum("bc,ch,bh->b", dlog, rw2, hidden)
-            + dlog @ rb2
-        )
-    else:
-        d = arch.embedding.dim
-        rw, rb = _unpack_bilinear(arch, reference)
-        u, v = scaled[:, :d], scaled[:, d : 2 * d]
-        scores = np.einsum("bc,cde,bd,be->b", dlog, rw, u, v) + dlog @ rb
+        X, hidden, dlog = _logit_gradients(model, examples)
+        scores = (dlog * _jvp(model.arch, model.params, X, hidden, reference)).sum(axis=1)
     return require_finite(scores, "alignment scores")

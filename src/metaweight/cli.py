@@ -42,13 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _label_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer labels, got {text!r}") from None
+
+
 def _cmd_prep(args) -> int:
     ds = load_tsv(args.input, args.max_len)
     print(f"loaded {args.input}: {len(ds)} examples, {ds.class_count} classes")
     if args.keep_labels:
-        keep = [int(x) for x in args.keep_labels.split(",")]
-        ds = filter_labels(ds, keep)
-        print(f"kept labels {keep}: {len(ds)} examples, {ds.class_count} classes")
+        ds = filter_labels(ds, args.keep_labels)
+        print(f"kept labels {args.keep_labels}: {len(ds)} examples, {ds.class_count} classes")
     if args.balance:
         ds = balance_downsample(ds, args.seed)
         print(f"balanced: {len(ds)} examples, counts {ds.label_counts()}")
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     prep = sub.add_parser("prep", help="load, filter, balance, and split a TSV dataset")
     prep.add_argument("--input", required=True)
     prep.add_argument("--out", required=True)
-    prep.add_argument("--keep-labels", default=None, help="comma-separated labels to keep")
+    prep.add_argument("--keep-labels", type=_label_list, default=None, help="comma-separated labels to keep")
     prep.add_argument("--balance", action="store_true")
     prep.add_argument("--seed", type=int, default=0)
     prep.add_argument("--max-len", type=int, default=50)

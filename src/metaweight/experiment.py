@@ -69,11 +69,6 @@ class RegulatorSection:
     clamp_nonnegative: bool = True
     target_batch_size: int | None = None
 
-    def __post_init__(self):
-        size = self.target_batch_size
-        if size is not None and not _is_a(size, int):
-            raise ConfigError(f"target_batch_size must be an integer or null, got {size!r}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -139,33 +134,57 @@ def _require_keys(mapping: Mapping, allowed, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+# The field annotations a config value is checked against, the Python types
+# each accepts and how an error names it; bool is never a number here.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
+def _is_a(value, kind: str) -> bool:
+    types = _KINDS[kind][0]
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+
+
+def _check_fields(cls, mapping: Mapping, where: str) -> None:
+    """Values of fields annotated int, float, bool or str, alone or `| None`,
+    must have that type (the annotations are strings); callers check the rest."""
+    for f in dataclasses.fields(cls):
+        kinds = f.type.split(" | ")
+        if f.name not in mapping or not set(kinds) <= set(_KINDS) | {"None"}:
+            continue
+        value = mapping[f.name]
+        if value is None and "None" in kinds:
+            continue
+        if not any(_is_a(value, k) for k in kinds if k != "None"):
+            wanted = " or ".join(_KINDS[k][1] if k in _KINDS else "null" for k in kinds)
+            raise ConfigError(f"{where}.{f.name} must be {wanted}, got {value!r}")
+
+
 def _build(cls, mapping: Mapping, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    _require_keys(mapping, names, where)
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
+    _require_keys(mapping, {f.name for f in dataclasses.fields(cls)}, where)
+    _check_fields(cls, mapping, where)
     try:
         return cls(**mapping)
     except TypeError as exc:
         raise ConfigError(f"bad {where} section: {exc}") from None
 
 
-# Top-level scalars and the types they must have; bool is never a number here.
-_SCALAR_TYPES = {"alpha": (int, float), "epochs": (int,), "batch_size": (int,), "n_permutations": (int,)}
-
-
-def _is_a(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _int_list(raw: Mapping, key: str) -> tuple[int, ...]:
+def _list_of(raw: Mapping, key: str, kind: str) -> tuple:
     values = raw.get(key, ())
-    if not isinstance(values, (list, tuple)) or not all(_is_a(v, int) for v in values):
-        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
+    if not isinstance(values, (list, tuple)) or not all(_is_a(v, kind) for v in values):
+        raise ConfigError(f"{key} must be a list whose items are each {_KINDS[kind][1]}, got {values!r}")
     return tuple(values)
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
-    """Strict parse: every unknown key at any level is an error, and the
-    top-level numbers and integer lists must have their types."""
+    """Strict parse: every unknown key at any level is an error, every section
+    must be a mapping, and every value must have the type its field declares."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config must be a mapping")
     _require_keys(raw, _TOP_KEYS, "config")
@@ -180,9 +199,9 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     if "synthetic" in data:
         synthetic = _build(ShiftSpec, data["synthetic"], "data.synthetic")
     else:
-        files_raw = dict(data["files"])
-        if files_raw.get("keep_labels") is not None:
-            files_raw["keep_labels"] = tuple(int(x) for x in files_raw["keep_labels"])
+        files_raw = data["files"]
+        if isinstance(files_raw, Mapping) and files_raw.get("keep_labels") is not None:
+            files_raw = dict(files_raw, keep_labels=_list_of(files_raw, "keep_labels", "int"))
         files = _build(FileData, files_raw, "data.files")
     backbone = _build(BackboneConfig, raw.get("backbone", {}), "backbone")
     regulator = _build(RegulatorSection, raw.get("regulator", {}), "regulator")
@@ -190,17 +209,14 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     for key in ("alpha", "epochs", "batch_size", "reference_method", "n_permutations", "output_dir"):
         if key in raw:
             kwargs[key] = raw[key]
-    for key, types in _SCALAR_TYPES.items():
-        if key in kwargs and not _is_a(kwargs[key], types):
-            kind = "a number" if float in types else "an integer"
-            raise ConfigError(f"{key} must be {kind}, got {kwargs[key]!r}")
+    _check_fields(ExperimentConfig, kwargs, "config")
     return ExperimentConfig(
         data_synthetic=synthetic,
         data_files=files,
         backbone=backbone,
-        methods=tuple(raw.get("methods", ())),
-        shots=_int_list(raw, "shots"),
-        seeds=_int_list(raw, "seeds"),
+        methods=_list_of(raw, "methods", "str"),
+        shots=_list_of(raw, "shots", "int"),
+        seeds=_list_of(raw, "seeds", "int"),
         regulator=regulator,
         **kwargs,
     )

@@ -15,15 +15,19 @@ For one source batch with fresh weights w the step runs:
   4. real update, restarted from the ORIGINAL theta:
      theta' = theta - alpha * sum_i w~_i g_i
 
+mwr_step is exactly init_weights, select_target_batch, weight_meta_gradient
+(steps 1 to 3), regulate_weights and weighted_training_step composed, so the
+finite-difference checks exercise the code that trains. Each gradient and
+alignment is one batched backbone call; no g_i is ever formed.
+
 Weights never persist across batches: every batch starts from its
 configured initialization. With zero initialization the provisional update
-leaves theta numerically unchanged and the regulated weights reduce to
+is skipped, theta_tilde is theta itself, and the regulated weights reduce to
 alpha^2 * <g_i, grad_target(theta)>; the whole step is then a positive
 semi-definite preconditioning of target-loss descent by the source
 gradients, so aligned source examples are promoted and conflicting ones
-are silenced. Reductions over examples are fixed-order (the reference ops
-accumulate in batch order; the vectorized paths use fixed matrix
-reductions), so repeated runs are bit-identical.
+are silenced. Reductions over examples are fixed matrix reductions, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,13 +43,10 @@ from .backbones import (
     ModelState,
     alignment_scores,
     batch_loss,
-    batch_weighted_gradient,
     batch_weighted_gradient_fast,
-    per_example_gradient,
-    per_example_loss,
 )
 from .errors import ConfigError, DimensionError, DomainError
-from .vectors import RngState, as_vector, dot, require_finite, require_same_length, sample_uniform
+from .vectors import RngState, as_vector, require_finite, require_same_length, sample_uniform
 
 INIT_POLICIES = ("zero", "one", "random")
 TARGET_BATCH_CAP = 256
@@ -86,27 +87,21 @@ def init_weights(n: int, policy: str, rng: RngState) -> np.ndarray:
     raise ConfigError(f"unknown init policy {policy!r}; expected one of {INIT_POLICIES}")
 
 
-def weighted_source_loss(model: ModelState, batch: Sequence[Example], weights) -> float:
-    """sum_i w_i * cross_entropy_i at the model's current parameters."""
-    weights = as_vector(weights)
-    if weights.shape[0] != len(batch):
-        raise DimensionError(f"{len(batch)} examples but {weights.shape[0]} weights")
-    total = 0.0
-    for w_i, ex in zip(weights, batch):
-        total += float(w_i) * per_example_loss(model, ex)
-    return total
-
-
-def virtual_update(model: ModelState, batch: Sequence[Example], weights, alpha: float) -> np.ndarray:
+def virtual_update(
+    model: ModelState, batch: FeatureBatch | Sequence[Example], weights, alpha: float
+) -> np.ndarray:
     """Provisional parameters theta - alpha * sum_i w_i g_i; the model is untouched.
 
     The result is linear in the weights (d theta_tilde / d w_i = -alpha * g_i),
     which is exactly the dependence the meta-gradient differentiates through.
-    With all-zero weights the returned vector equals the model's parameters
-    coordinate for coordinate.
+    All-zero weights return the model's parameters themselves.
     """
-    grad = batch_weighted_gradient(model, batch, weights)
-    return model.params - float(alpha) * grad
+    weights = as_vector(weights)
+    if weights.shape[0] != len(batch):
+        raise DimensionError(f"{len(batch)} examples but {weights.shape[0]} weights")
+    if not weights.any():
+        return model.params
+    return model.params - float(alpha) * batch_weighted_gradient_fast(model, batch, weights)
 
 
 def target_loss(arch, theta_tilde, target_set: Sequence[Example]) -> float:
@@ -116,19 +111,18 @@ def target_loss(arch, theta_tilde, target_set: Sequence[Example]) -> float:
     return batch_loss(ModelState(theta_tilde, arch), target_set)
 
 
-def target_gradient(arch, theta, target_set: Sequence[Example]) -> np.ndarray:
-    """Gradient of the summed target loss at theta (batch-order reduction)."""
+def target_gradient(arch, theta, target_set: FeatureBatch | Sequence[Example]) -> np.ndarray:
+    """Gradient of the summed target loss at theta."""
     if len(target_set) == 0:
         raise DomainError("target set must be non-empty")
-    probe = ModelState(theta, arch)
-    return batch_weighted_gradient(probe, target_set, np.ones(len(target_set)))
+    return batch_weighted_gradient_fast(ModelState(theta, arch), target_set, np.ones(len(target_set)))
 
 
 def weight_meta_gradient(
     model: ModelState,
-    batch: Sequence[Example],
+    batch: FeatureBatch | Sequence[Example],
     weights,
-    target_set: Sequence[Example],
+    target_set: FeatureBatch | Sequence[Example],
     alpha: float,
 ) -> np.ndarray:
     """d target_loss(virtual_update(w)) / d w, one entry per source example.
@@ -138,12 +132,9 @@ def weight_meta_gradient(
     theta and does not depend on w, so the composed map is linear inside the
     target loss.
     """
-    weights = as_vector(weights)
-    if weights.shape[0] != len(batch):
-        raise DimensionError(f"{len(batch)} examples but {weights.shape[0]} weights")
     theta_tilde = virtual_update(model, batch, weights, alpha)
     tgrad = target_gradient(model.arch, theta_tilde, target_set)
-    return np.array([-float(alpha) * dot(per_example_gradient(model, ex), tgrad) for ex in batch])
+    return -float(alpha) * alignment_scores(model, batch, tgrad)
 
 
 def regulate_weights(weights, metagrad, alpha: float, clamp: bool = True) -> np.ndarray:
@@ -157,13 +148,15 @@ def regulate_weights(weights, metagrad, alpha: float, clamp: bool = True) -> np.
     return require_finite(out, "regulated weights")
 
 
-def weighted_training_step(model: ModelState, batch: Sequence[Example], regulated, alpha: float) -> ModelState:
+def weighted_training_step(
+    model: ModelState, batch: FeatureBatch | Sequence[Example], regulated, alpha: float
+) -> ModelState:
     """Real update from the ORIGINAL parameters with the regulated weights.
 
     The provisional parameters are discarded; only the weights they produced
     survive into this step.
     """
-    grad = batch_weighted_gradient(model, batch, regulated)
+    grad = batch_weighted_gradient_fast(model, batch, regulated)
     return ModelState(model.params - float(alpha) * grad, model.arch)
 
 
@@ -211,52 +204,23 @@ class StepDetail:
     initial_weights: np.ndarray
 
 
-def mwr_step_detail(
-    model: ModelState,
-    source_batch: FeatureBatch | Sequence[Example],
-    target_set: FeatureBatch | Sequence[Example],
-    cfg: RegulatorConfig,
-    rng: RngState,
-) -> StepDetail:
-    """One full regulation step with per-example gradients computed once.
-
-    Produces the same model and weights as composing init_weights,
-    virtual_update, weight_meta_gradient, regulate_weights and
-    weighted_training_step, but shares the g_i across the three places
-    they appear. Both sets may be FeatureBatch rows or example sequences;
-    either gives bit-identical results.
-    """
-    if len(source_batch) == 0:
-        raise DomainError("source batch must be non-empty")
-    if len(target_set) == 0:
-        raise DomainError("target set must be non-empty")
-    alpha = cfg.learning_rate
-    initial = init_weights(len(source_batch), cfg.init_policy, rng)
-    if np.any(initial):
-        theta_tilde = model.params - alpha * batch_weighted_gradient_fast(model, source_batch, initial)
-    else:
-        # all-zero weights leave the parameters numerically unchanged
-        theta_tilde = model.params
-
-    target_batch = select_target_batch(target_set, cfg, rng)
-    probe = ModelState(theta_tilde, model.arch)
-    tgrad = batch_weighted_gradient_fast(probe, target_batch, np.ones(len(target_batch)))
-
-    metagrad = -alpha * alignment_scores(model, source_batch, tgrad)
-    regulated = regulate_weights(initial, metagrad, alpha, cfg.clamp_nonnegative)
-
-    final = batch_weighted_gradient_fast(model, source_batch, regulated)
-    new_model = ModelState(model.params - alpha * final, model.arch)
-    return StepDetail(model=new_model, weights=regulated, metagrad=metagrad, initial_weights=initial)
-
-
 def mwr_step(
     model: ModelState,
     source_batch: FeatureBatch | Sequence[Example],
     target_set: FeatureBatch | Sequence[Example],
     cfg: RegulatorConfig,
     rng: RngState,
-) -> tuple[ModelState, np.ndarray]:
-    """One full regulation step; returns the updated model and the regulated weights."""
-    detail = mwr_step_detail(model, source_batch, target_set, cfg, rng)
-    return detail.model, detail.weights
+) -> StepDetail:
+    """One full regulation step: the public operations composed in order.
+
+    Both sets may be FeatureBatch rows or example sequences; either gives
+    bit-identical results. An empty source batch or target set is a
+    DomainError.
+    """
+    alpha = cfg.learning_rate
+    initial = init_weights(len(source_batch), cfg.init_policy, rng)
+    target_batch = select_target_batch(target_set, cfg, rng)
+    metagrad = weight_meta_gradient(model, source_batch, initial, target_batch, alpha)
+    regulated = regulate_weights(initial, metagrad, alpha, cfg.clamp_nonnegative)
+    new_model = weighted_training_step(model, source_batch, regulated, alpha)
+    return StepDetail(model=new_model, weights=regulated, metagrad=metagrad, initial_weights=initial)

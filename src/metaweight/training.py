@@ -31,7 +31,7 @@ from .backbones import (
     featurize,
 )
 from .errors import ConfigError, DomainError
-from .regulator import RegulatorConfig, mwr_step_detail, target_loss
+from .regulator import RegulatorConfig, mwr_step, target_loss
 from .vectors import RngState, derive_seed
 
 METHODS = ("backbone_only", "fine_tuning", "data_merging", "mwr")
@@ -189,7 +189,7 @@ def train_mwr(
         order = rng.permutation(len(source))
         for start in range(0, len(order), cfg.source_batch_size):
             picked = order[start : start + cfg.source_batch_size]
-            detail = mwr_step_detail(model, source.take(picked), target, cfg, rng)
+            detail = mwr_step(model, source.take(picked), target, cfg, rng)
             model = detail.model
             rows.extend(
                 WeightTraceRow(step, ex_id, float(m), float(w))

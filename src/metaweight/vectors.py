@@ -123,14 +123,6 @@ def dot(a, b) -> float:
     return out
 
 
-def scaled_add(alpha: float, x, y) -> np.ndarray:
-    """y + alpha * x as a fresh vector; neither operand is modified."""
-    x = as_vector(x)
-    y = as_vector(y)
-    require_same_length(x, y)
-    return require_finite(y + float(alpha) * x, "scaled_add result")
-
-
 def sample_uniform(rng: RngState, lo: float, hi: float, n: int) -> np.ndarray:
     """n seeded draws in [lo, hi)."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:

@@ -1,13 +1,21 @@
-"""Shared test utilities: finite-difference oracles, per-step training
-loops over example batches, and tolerance checks."""
+"""Shared test utilities: finite-difference oracles, per-example gradient
+formulas and loops, per-step training loops over example batches, and
+tolerance checks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from metaweight.backbones import BackboneArch, Example, ModelState, batch_weighted_gradient_fast, build_embedding
+from metaweight.backbones import (
+    BackboneArch,
+    Example,
+    ModelState,
+    batch_weighted_gradient_fast,
+    build_embedding,
+    example_features,
+)
 from metaweight.data import ShiftSpec, gen_synthetic_shift
-from metaweight.regulator import mwr_step_detail
+from metaweight.regulator import mwr_step
 from metaweight.training import merge_datasets
 from metaweight.vectors import RngState, derive_seed
 
@@ -36,8 +44,49 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> flo
     return float((np.abs(a - b)[mask] / scale[mask]).max())
 
 
-def small_arch(kind: str, dim: int = 4, hidden: int = 8, buckets: int = 256, seed: int = 11) -> BackboneArch:
-    return BackboneArch(kind, build_embedding(seed, buckets, dim), 2, hidden_dim=hidden)
+def oracle_gradient(model: ModelState, example: Example) -> np.ndarray:
+    """Per-example cross-entropy gradient from the hand-derived formulas of
+    each family, one example at a time, with outer products in place of the
+    package's batched forward / VJP."""
+    arch, params = model.arch, model.params
+    f, c, h, d = arch.feature_dim, arch.class_count, arch.hidden_dim, arch.embedding.dim
+    scaled = arch.input_scale * example_features(arch, example)
+    onehot = np.eye(c)[example.label]
+    if arch.kind == "logistic":
+        w, b = params[: c * f].reshape(c, f), params[c * f :]
+        dlog = _softmax(w @ scaled + b) - onehot
+        return np.concatenate([np.outer(dlog, scaled).ravel(), dlog])
+    if arch.kind == "mlp":
+        w1, b1 = params[: h * f].reshape(h, f), params[h * f : h * f + h]
+        w2, b2 = params[h * f + h : h * f + h + c * h].reshape(c, h), params[h * f + h + c * h :]
+        hidden = np.tanh(w1 @ scaled + b1)
+        dlog = _softmax(w2 @ hidden + b2) - onehot
+        dpre = (w2.T @ dlog) * (1.0 - hidden * hidden)
+        return np.concatenate([np.outer(dpre, scaled).ravel(), dpre, np.outer(dlog, hidden).ravel(), dlog])
+    w, b = params[: c * d * d].reshape(c, d, d), params[c * d * d :]
+    u, v = scaled[:d], scaled[d : 2 * d]
+    dlog = _softmax((w @ v) @ u + b) - onehot
+    return np.concatenate([(dlog[:, None, None] * np.outer(u, v)[None, :, :]).ravel(), dlog])
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = np.exp(logits - logits.max())
+    return shifted / shifted.sum()
+
+
+def oracle_weighted_gradient(model: ModelState, examples, weights) -> np.ndarray:
+    """sum_i weights_i * oracle_gradient_i, accumulated in batch order."""
+    total = np.zeros(model.arch.param_count)
+    for w_i, ex in zip(weights, examples):
+        total += float(w_i) * oracle_gradient(model, ex)
+    return total
+
+
+def small_arch(
+    kind: str, dim: int = 4, hidden: int = 8, buckets: int = 256, seed: int = 11, classes: int = 2
+) -> BackboneArch:
+    return BackboneArch(kind, build_embedding(seed, buckets, dim), classes, hidden_dim=hidden)
+
 
 
 def small_task(seed: int = 3, n_source: int = 32, n_target: int = 16, flip: float = 0.0):
@@ -71,7 +120,7 @@ def mwr_loop(spec, model: ModelState, s_train, t_fs):
         order = rng.permutation(len(s_train))
         for start in range(0, len(order), cfg.source_batch_size):
             ids = [int(i) for i in order[start : start + cfg.source_batch_size]]
-            detail = mwr_step_detail(model, [s_train[i] for i in ids], t_fs, cfg, rng)
+            detail = mwr_step(model, [s_train[i] for i in ids], t_fs, cfg, rng)
             model = detail.model
             rows.extend((step, i, float(m), float(w)) for i, m, w in zip(ids, detail.metagrad, detail.weights))
             step += 1

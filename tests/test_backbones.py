@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import central_difference_gradient, make_example, max_relative_error, random_model, small_arch, small_task
+from helpers import (
+    central_difference_gradient,
+    make_example,
+    max_relative_error,
+    oracle_gradient,
+    oracle_weighted_gradient,
+    random_model,
+    small_arch,
+    small_task,
+)
 from metaweight.backbones import (
     BACKBONE_KINDS,
     BackboneArch,
@@ -11,7 +22,6 @@ from metaweight.backbones import (
     ModelState,
     alignment_scores,
     batch_loss,
-    batch_weighted_gradient,
     batch_weighted_gradient_fast,
     build_embedding,
     example_features,
@@ -235,7 +245,7 @@ class TestBatchOps:
         model = random_model(arch, 77)
         batch = src.examples[:6]
         weights = sample_uniform(RngState(13), -1.0, 2.0, 6)
-        total = batch_weighted_gradient(model, batch, weights)
+        total = batch_weighted_gradient_fast(model, batch, weights)
         oracle = np.zeros(arch.param_count)
         for w_i, ex in zip(weights, batch):
             oracle = oracle + float(w_i) * per_example_gradient(model, ex)
@@ -248,20 +258,56 @@ class TestBatchOps:
         model = random_model(arch, 5)
         batch = src.examples[:8]
         weights = sample_uniform(RngState(2), 0.0, 1.0, 8)
-        slow = batch_weighted_gradient(model, batch, weights)
+        slow = oracle_weighted_gradient(model, batch, weights)
         fast = batch_weighted_gradient_fast(model, batch, weights)
         assert max_relative_error(fast, slow, floor=1e-12) <= 1e-10
         reference = sample_uniform(RngState(3), -1.0, 1.0, arch.param_count)
         scores = alignment_scores(model, batch, reference)
-        oracle = np.array([float(per_example_gradient(model, ex) @ reference) for ex in batch])
+        oracle = np.array([float(oracle_gradient(model, ex) @ reference) for ex in batch])
         assert max_relative_error(scores, oracle, floor=1e-12) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(BACKBONE_KINDS),
+        dim=st.integers(1, 6),
+        hidden=st.integers(1, 8),
+        classes=st.integers(2, 4),
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcdefgh"), max_size=4),
+                st.lists(st.sampled_from("abcdefgh"), max_size=4),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_batched_core_matches_per_example_oracle(self, kind, dim, hidden, classes, pairs, seed):
+        """The batched forward / VJP / JVP against the hand-derived per-example
+        formulas, for random shapes, class counts, batches, weights and
+        reference vectors; errors are relative to the largest entry."""
+        arch = small_arch(kind, dim=dim, hidden=hidden, buckets=32, seed=seed % 97, classes=classes)
+        rng = RngState(seed)
+        model = ModelState(sample_uniform(rng, -1.0, 1.0, arch.param_count), arch)
+        batch = [make_example(a, b, label % classes) for a, b, label in pairs]
+        weights = sample_uniform(rng, -1.0, 2.0, len(batch))
+        reference = sample_uniform(rng, -1.0, 1.0, arch.param_count)
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
+
+        grad = batch_weighted_gradient_fast(model, batch, weights)
+        assert close(grad, oracle_weighted_gradient(model, batch, weights))
+        scores = np.array([float(oracle_gradient(model, ex) @ reference) for ex in batch])
+        assert close(alignment_scores(model, batch, reference), scores)
+        for ex in batch:
+            assert close(per_example_gradient(model, ex), oracle_gradient(model, ex))
 
     def test_weight_count_checked(self):
         src, _ = small_task()
         arch = small_arch("logistic")
         model = random_model(arch, 1)
-        with pytest.raises(DimensionError):
-            batch_weighted_gradient(model, src.examples[:3], np.ones(4))
         with pytest.raises(DimensionError):
             batch_weighted_gradient_fast(model, src.examples[:3], np.ones(4))
 

@@ -97,6 +97,15 @@ class TestConfigParsing:
             ({"batch_size": True}, "batch_size"),
             ({"n_permutations": None}, "n_permutations"),
             ({"regulator": {"target_batch_size": "8"}}, "target_batch_size"),
+            ({"regulator": {"clamp_nonnegative": "no"}}, "clamp_nonnegative"),
+            ({"data": {"synthetic": 5}}, "data.synthetic"),
+            ({"data": {"synthetic": {"n_source": 1200.0, "n_target": 600}}}, "n_source"),
+            ({"data": {"files": 5}}, "data.files"),
+            ({"data": {"files": {"source": "a.tsv", "target": "b.tsv", "keep_labels": ["x"]}}}, "keep_labels"),
+            ({"data": {"files": {"source": "a.tsv", "target": "b.tsv", "balance": "no"}}}, "balance"),
+            ({"backbone": 5}, "backbone"),
+            ({"backbone": {"kind": "mlp", "embedding_dim": 4.0}}, "embedding_dim"),
+            ({"methods": 5}, "methods"),
         ],
     )
     def test_wrong_types_are_config_errors(self, override, key):
@@ -294,7 +303,7 @@ class TestCli:
         assert main(["train", "--method", "notamethod", "--target-fs", "x.tsv"]) == 1
         assert main(["bogus-subcommand"]) == 1
 
-    @pytest.mark.parametrize("override", [{"seeds": 3}, {"alpha": "0.05"}])
+    @pytest.mark.parametrize("override", [{"seeds": 3}, {"alpha": "0.05"}, {"backbone": 5}])
     def test_wrong_config_type_exit_code(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_tiny_config(**override)))
@@ -317,6 +326,14 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["prep", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o.tsv")]) == 2
+
+    def test_non_integer_keep_labels_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "t.tsv"
+        data.write_text("a b\tc d\t0\ne f\tg h\t1\n", encoding="utf-8")
+        args = ["prep", "--input", str(data), "--out", str(tmp_path / "o.tsv"), "--keep-labels", "x"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         gen_dir = tmp_path / "gen"

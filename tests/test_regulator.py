@@ -20,14 +20,12 @@ from metaweight.regulator import (
     RegulatorConfig,
     init_weights,
     mwr_step,
-    mwr_step_detail,
     regulate_weights,
     select_target_batch,
     target_gradient,
     target_loss,
     virtual_update,
     weight_meta_gradient,
-    weighted_source_loss,
     weighted_training_step,
 )
 from metaweight.vectors import RngState, dot, sample_uniform
@@ -61,33 +59,6 @@ class TestInitWeights:
     def test_bad_count(self):
         with pytest.raises(DomainError):
             init_weights(0, "zero", RngState(0))
-
-
-class TestWeightedSourceLoss:
-    def test_zero_weights_exactly_zero(self, setup):
-        src, _, _, model = setup
-        batch = src.examples[:6]
-        assert weighted_source_loss(model, batch, np.zeros(6)) == 0.0
-
-    def test_unit_weights_sum_losses(self, setup):
-        src, _, _, model = setup
-        batch = src.examples[:6]
-        oracle = sum(per_example_loss(model, ex) for ex in batch)
-        got = weighted_source_loss(model, batch, np.ones(6))
-        assert abs(got - oracle) <= 1e-12 * max(abs(oracle), 1.0)
-
-    def test_random_weights_match_loop_oracle(self, setup):
-        src, _, _, model = setup
-        batch = src.examples[:8]
-        weights = sample_uniform(RngState(5), 0.0, 2.0, 8)
-        oracle = sum(float(w) * per_example_loss(model, ex) for w, ex in zip(weights, batch))
-        got = weighted_source_loss(model, batch, weights)
-        assert abs(got - oracle) <= 1e-12 * max(abs(oracle), 1.0)
-
-    def test_length_mismatch(self, setup):
-        src, _, _, model = setup
-        with pytest.raises(DimensionError):
-            weighted_source_loss(model, src.examples[:3], np.ones(2))
 
 
 class TestVirtualUpdate:
@@ -200,6 +171,8 @@ class TestWeightMetaGradient:
         src, tgt, _, model = setup
         with pytest.raises(DimensionError):
             weight_meta_gradient(model, src.examples[:3], np.ones(2), tgt.examples[:2], 0.1)
+        with pytest.raises(DimensionError):
+            weight_meta_gradient(model, src.examples[:3], np.zeros(2), tgt.examples[:2], 0.1)
         with pytest.raises(DomainError):
             weight_meta_gradient(model, src.examples[:3], np.ones(3), [], 0.1)
 
@@ -295,8 +268,9 @@ class TestMwrStep:
         batch = list(src.examples[:6])
         cfg = RegulatorConfig(learning_rate=0.2, init_policy="zero")
         before = target_loss(arch, model.params, batch)
-        new_model, weights = mwr_step(model, batch, batch, cfg, RngState(3))
-        after = target_loss(arch, new_model.params, batch)
+        detail = mwr_step(model, batch, batch, cfg, RngState(3))
+        weights = detail.weights
+        after = target_loss(arch, detail.model.params, batch)
         assert (weights >= 0.0).all()
         assert weights.max() > 0.0
         assert after < before
@@ -306,7 +280,7 @@ class TestMwrStep:
         ex = src.examples[2]
         alpha = 0.3
         cfg = RegulatorConfig(learning_rate=alpha, init_policy="zero")
-        _, weights = mwr_step(model, [ex], [ex], cfg, RngState(0))
+        weights = mwr_step(model, [ex], [ex], cfg, RngState(0)).weights
         g = per_example_gradient(model, ex)
         expected = alpha * alpha * dot(g, g)
         assert weights[0] > 0
@@ -322,9 +296,9 @@ class TestMwrStep:
         # its twin's, so alignments are negative, weights clamp to zero, and the
         # parameters do not move
         cfg = RegulatorConfig(learning_rate=0.4, init_policy="zero")
-        new_model, weights = mwr_step(model, flipped, targets, cfg, RngState(5))
-        assert np.array_equal(weights, np.zeros(4))
-        assert np.array_equal(new_model.params, model.params)
+        detail = mwr_step(model, flipped, targets, cfg, RngState(5))
+        assert np.array_equal(detail.weights, np.zeros(4))
+        assert np.array_equal(detail.model.params, model.params)
 
     def test_matches_straight_line_composition(self, setup):
         src, tgt, arch, model = setup
@@ -333,14 +307,14 @@ class TestMwrStep:
         alpha = 0.25
         for policy in ("zero", "one", "random"):
             cfg = RegulatorConfig(learning_rate=alpha, init_policy=policy, clamp_nonnegative=True)
-            got_model, got_weights = mwr_step(model, batch, targets, cfg, RngState(99))
+            got = mwr_step(model, batch, targets, cfg, RngState(99))
             # independent composition of the public operations
             w0 = init_weights(5, policy, RngState(99))
             mg = weight_meta_gradient(model, batch, w0, targets, alpha)
             w1 = regulate_weights(w0, mg, alpha, clamp=True)
             oracle = weighted_training_step(model, batch, w1, alpha)
-            assert max_relative_error(got_weights, w1, floor=1e-12) <= 1e-10
-            assert max_relative_error(got_model.params, oracle.params, floor=1e-12) <= 1e-10
+            assert np.array_equal(got.weights, w1)
+            assert np.array_equal(got.model.params, oracle.params)
 
     def test_sign_property_without_clamp(self, setup):
         src, tgt, arch, model = setup
@@ -348,7 +322,7 @@ class TestMwrStep:
         targets = list(tgt.examples[:8])
         alpha = 0.2
         cfg = RegulatorConfig(learning_rate=alpha, init_policy="random", clamp_nonnegative=False)
-        detail = mwr_step_detail(model, batch, targets, cfg, RngState(13))
+        detail = mwr_step(model, batch, targets, cfg, RngState(13))
         theta_tilde = virtual_update(model, batch, detail.initial_weights, alpha)
         tgrad = target_gradient(arch, theta_tilde, targets)
         for i, ex in enumerate(batch):
@@ -362,8 +336,8 @@ class TestMwrStep:
         targets = list(tgt.examples[:4])
         cfg = RegulatorConfig(learning_rate=0.1, init_policy="zero")
         rng = RngState(1)
-        first = mwr_step_detail(model, batch, targets, cfg, rng)
-        second = mwr_step_detail(first.model, batch, targets, cfg, rng)
+        first = mwr_step(model, batch, targets, cfg, rng)
+        second = mwr_step(first.model, batch, targets, cfg, rng)
         assert np.array_equal(first.initial_weights, np.zeros(4))
         assert np.array_equal(second.initial_weights, np.zeros(4))
 
@@ -407,8 +381,8 @@ class TestFeatureBatchPath:
         batch, targets = list(src.examples[:9]), list(tgt.examples)
         cfg = RegulatorConfig(learning_rate=0.3, init_policy=policy, target_batch_size=size)
         rng_rows, rng_examples = RngState(21), RngState(21)
-        rows = mwr_step_detail(model, featurize(arch, batch), featurize(arch, targets), cfg, rng_rows)
-        examples = mwr_step_detail(model, batch, targets, cfg, rng_examples)
+        rows = mwr_step(model, featurize(arch, batch), featurize(arch, targets), cfg, rng_rows)
+        examples = mwr_step(model, batch, targets, cfg, rng_examples)
         assert np.array_equal(rows.model.params, examples.model.params)
         assert np.array_equal(rows.weights, examples.weights)
         assert np.array_equal(rows.metagrad, examples.metagrad)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from metaweight.errors import DimensionError, DomainError, NumericalError
@@ -9,7 +9,6 @@ from metaweight.vectors import (
     derive_seed,
     dot,
     sample_uniform,
-    scaled_add,
 )
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -59,43 +58,6 @@ class TestDot:
         a = np.array([p[0] for p in pairs])
         b = np.array([p[1] for p in pairs])
         assert dot(a, b) == dot(b, a)
-
-
-class TestScaledAdd:
-    def test_zero_scale_returns_y(self):
-        x = RngState(2).uniforms(10)
-        y = RngState(3).uniforms(10)
-        assert np.array_equal(scaled_add(0.0, x, y), y)
-
-    def test_self_cancellation(self):
-        x = RngState(4).uniforms(10)
-        assert np.array_equal(scaled_add(-1.0, x, x), np.zeros(10))
-
-    def test_direct_arithmetic(self):
-        assert np.array_equal(scaled_add(0.5, [2.0, 4.0], [1.0, 1.0]), [2.0, 3.0])
-
-    def test_inputs_unmodified(self):
-        x = RngState(5).uniforms(6)
-        y = RngState(6).uniforms(6)
-        x0, y0 = x.copy(), y.copy()
-        scaled_add(2.5, x, y)
-        assert np.array_equal(x, x0) and np.array_equal(y, y0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            scaled_add(1.0, np.ones(3), np.ones(4))
-
-    @given(
-        st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=30),
-        st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-    )
-    @settings(deadline=None)
-    def test_add_then_subtract_recovers(self, pairs, alpha):
-        x = np.array([p[0] for p in pairs])
-        y = np.array([p[1] for p in pairs])
-        back = scaled_add(alpha, x, scaled_add(-alpha, x, y))
-        tol = 1e-12 * np.maximum(np.maximum(np.abs(y), np.abs(alpha * x)), 1.0)
-        assert (np.abs(back - y) <= tol).all()
 
 
 class TestRng:
