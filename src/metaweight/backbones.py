@@ -62,6 +62,9 @@ from .vectors import RngState, as_vector, require_finite, sample_uniform
 
 PROB_FLOOR = 1e-12
 BACKBONE_KINDS = ("logistic", "mlp", "bilinear")
+# Largest embedding table, in buckets * dim float64 entries (128 MiB); a
+# larger request is a configuration error rather than an allocation failure.
+MAX_EMBEDDING_ENTRIES = 1 << 24
 
 TokenSeq = tuple[str, ...]
 
@@ -116,6 +119,10 @@ def build_embedding(seed: int, buckets: int, dim: int) -> EmbeddingTable:
     """Seeded table with entries uniform in [-0.5/dim, 0.5/dim)."""
     if buckets < 1 or dim < 1:
         raise DomainError("buckets and dim must both be >= 1")
+    if buckets * dim > MAX_EMBEDDING_ENTRIES:
+        raise ConfigError(
+            f"buckets * embedding_dim = {buckets * dim} exceeds the cap of {MAX_EMBEDDING_ENTRIES} entries"
+        )
     half = 0.5 / dim
     values = sample_uniform(RngState(seed), -half, half, buckets * dim).reshape(buckets, dim)
     values.setflags(write=False)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .backbones import BACKBONE_KINDS, BackboneArch, ModelState, build_embedding
+from .backbones import BACKBONE_KINDS, MAX_EMBEDDING_ENTRIES, BackboneArch, ModelState, build_embedding
 from .data import (
     Dataset,
     FewShotSpec,
@@ -61,6 +61,11 @@ class BackboneConfig:
             raise ConfigError(f"unknown backbone kind {self.kind!r}; expected one of {BACKBONE_KINDS}")
         if self.embedding_dim < 1 or self.buckets < 1 or self.hidden_dim < 1:
             raise ConfigError("backbone dimensions must be >= 1")
+        if self.buckets * self.embedding_dim > MAX_EMBEDDING_ENTRIES:
+            raise ConfigError(
+                f"backbone.buckets * embedding_dim = {self.buckets * self.embedding_dim} "
+                f"exceeds the cap of {MAX_EMBEDDING_ENTRIES} embedding entries"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbones import Example, ModelState, example_features, forward
+from .backbones import Example, ModelState, _probs, example_features
 from .errors import DimensionError, DomainError
-from .vectors import RngState
+from .vectors import RngState, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,14 +36,15 @@ class PredictionRecord:
 
 
 def predict(model: ModelState, examples: Sequence[Example]) -> PredictionRecord:
-    """Argmax class per example (lowest index wins ties)."""
-    preds = np.fromiter(
-        (int(np.argmax(forward(model, example_features(model.arch, ex)))) for ex in examples),
-        dtype=np.int64,
-        count=len(examples),
-    )
+    """Argmax class per example (lowest index wins ties), from one batched
+    forward pass. Truth labels are carried over unchecked against the model's
+    class count."""
+    arch = model.arch
+    rows = [example_features(arch, ex) for ex in examples]
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), arch.feature_dim) * arch.input_scale
+    probs = require_finite(_probs(arch, model.params, X), "forward probabilities")
     true = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=len(examples))
-    return PredictionRecord(preds, true)
+    return PredictionRecord(probs.argmax(axis=1), true)
 
 
 def accuracy(record: PredictionRecord) -> float:
@@ -51,6 +52,11 @@ def accuracy(record: PredictionRecord) -> float:
     if len(record) == 0:
         raise DomainError("cannot score an empty prediction record")
     return float(np.mean(record.predicted == record.true))
+
+
+# Words computed per block of the permutation test: small enough that the
+# block and its temporaries stay in cache, large enough to amortize numpy calls.
+_BLOCK_WORDS = 1 << 15
 
 
 def permutation_test(
@@ -62,6 +68,15 @@ def permutation_test(
     methods' correctness per example with probability one half. The p-value
     uses the add-one estimator (1 + #{permuted >= observed}) / (1 + n_perm),
     so it is never zero and equals 1.0 when the predictions agree everywhere.
+
+    Permutation t flips example j when uniform number t * n + j of `rng` is
+    below one half, that is when the top bit of that word is clear. With
+    diff_j = correct_a_j - correct_b_j, the permuted sum is
+    S_t = 2 * sum_j bit_tj diff_j - sum_j diff_j, and only the m examples with
+    diff_j != 0 contribute, so only their n_perm x m words are computed, in
+    blocks of about _BLOCK_WORDS, straight from the counter. Every S_t is a
+    sum of +-1 terms and exact in float64, so the p-value equals that of
+    drawing all n_perm x n uniforms; the cursor advances past them all.
     """
     if n_perm < 1:
         raise DomainError("n_perm must be >= 1")
@@ -74,13 +89,19 @@ def permutation_test(
     )
     n = diff.shape[0]
     observed = abs(float(diff.mean()))
-    exceed = 0
-    chunk = max(1, min(n_perm, 4_000_000 // n))
-    done = 0
-    while done < n_perm:
-        take = min(chunk, n_perm - done)
-        signs = np.where(rng.uniforms(take * n).reshape(take, n) < 0.5, -1.0, 1.0)
-        stats = np.abs(signs @ diff) / n
-        exceed += int((stats >= observed).sum())
-        done += take
+    cols = np.flatnonzero(diff).astype(np.uint64)
+    vals = diff[cols]
+    total = vals.sum()
+    if cols.size == 0:
+        exceed = n_perm  # every permuted sum is 0, and so is the observed one
+    else:
+        exceed = 0
+        rows = max(1, _BLOCK_WORDS // cols.size)
+        for start in range(0, n_perm, rows):
+            perms = np.arange(start, min(start + rows, n_perm), dtype=np.uint64)
+            words = rng.words_at(perms[:, None] * np.uint64(n) + cols)
+            bits = (words >> np.uint64(63)).astype(np.float64)
+            stats = np.abs(2.0 * (bits @ vals) - total) / n
+            exceed += int((stats >= observed).sum())
+    rng.position += n_perm * n
     return (1 + exceed) / (1 + n_perm)

@@ -12,6 +12,15 @@ fixed 64-bit avalanche function. A stream is a pure function of
 and numpy version reproduces it bit for bit. Each RngState must stay
 confined to a single consumer; sharing one across concurrent users breaks
 reproducibility.
+
+Because word i is a pure function of i, a consumer that uses only some of
+the next words can compute just those: `RngState.words_at(k)` returns the
+words at offsets k past the cursor without moving it, and sequential draws
+are `words_at(0..n-1)` followed by a cursor advance of n. A uniform is the
+top 53 bits of its word scaled to [0, 1), so `u < 0.5` holds exactly when
+the word's top bit is clear; the permutation test in `stats.py` reads only
+that bit, for the words a draw of n_perm x n uniforms would place at
+t * n + j, and only for the columns j it needs.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+_U_GAMMA, _U_MIX_A, _U_MIX_B = np.uint64(_GAMMA), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _U_MIX_A
+    z = (z ^ (z >> _U27)) * _U_MIX_B
+    return z ^ (z >> _U31)
 
 
 def _mix_int(z: int) -> int:
@@ -65,11 +76,17 @@ class RngState:
     seed: int
     position: int = 0
 
+    def words_at(self, offsets: np.ndarray) -> np.ndarray:
+        """The uint64 words at `offsets` past the cursor, which does not move:
+        word k is the one the (k+1)-th of the next sequential draws uses."""
+        # the base is folded in Python ints: numpy scalar uint64 products warn on wrap
+        base = np.uint64((self.seed + (self.position + 1) * _GAMMA) & _MASK)
+        return _mix_array(base + np.asarray(offsets, dtype=np.uint64) * _U_GAMMA)
+
     def _words(self, n: int) -> np.ndarray:
-        base = np.uint64(self.seed & _MASK)
-        idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
+        words = self.words_at(np.arange(n, dtype=np.uint64))
         self.position += n
-        return _mix_array(base + idx * np.uint64(_GAMMA))
+        return words
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), one per draw, from the top 53 bits of each word."""

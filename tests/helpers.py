@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, per-example gradient
-formulas and loops, per-step training loops over example batches, and
-tolerance checks."""
+formulas and loops, per-step training loops over example batches, the dense
+permutation test, and tolerance checks."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from metaweight.backbones import (
 )
 from metaweight.data import ShiftSpec, gen_synthetic_shift
 from metaweight.regulator import mwr_step
+from metaweight.stats import PredictionRecord
 from metaweight.training import merge_datasets
 from metaweight.vectors import RngState, derive_seed
 
@@ -82,11 +83,32 @@ def oracle_weighted_gradient(model: ModelState, examples, weights) -> np.ndarray
     return total
 
 
+def oracle_permutation_test(
+    preds_a: PredictionRecord, preds_b: PredictionRecord, n_perm: int, rng: RngState
+) -> float:
+    """The sign-flip permutation test drawn densely: every one of the
+    n_perm x n uniforms, a +-1 matrix from them and one product per chunk."""
+    diff = (preds_a.predicted == preds_a.true).astype(np.float64) - (
+        preds_b.predicted == preds_b.true
+    )
+    n = diff.shape[0]
+    observed = abs(float(diff.mean()))
+    exceed = 0
+    chunk = max(1, min(n_perm, 4_000_000 // n))
+    done = 0
+    while done < n_perm:
+        take = min(chunk, n_perm - done)
+        signs = np.where(rng.uniforms(take * n).reshape(take, n) < 0.5, -1.0, 1.0)
+        stats = np.abs(signs @ diff) / n
+        exceed += int((stats >= observed).sum())
+        done += take
+    return (1 + exceed) / (1 + n_perm)
+
+
 def small_arch(
     kind: str, dim: int = 4, hidden: int = 8, buckets: int = 256, seed: int = 11, classes: int = 2
 ) -> BackboneArch:
     return BackboneArch(kind, build_embedding(seed, buckets, dim), classes, hidden_dim=hidden)
-
 
 
 def small_task(seed: int = 3, n_source: int = 32, n_target: int = 16, flip: float = 0.0):

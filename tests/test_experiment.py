@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaweight.cli import main
 from metaweight.errors import ConfigError, DataError
@@ -111,6 +113,50 @@ class TestConfigParsing:
     def test_wrong_types_are_config_errors(self, override, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(_tiny_config(**override))
+
+
+def _key_paths(tree: dict, prefix: tuple = ()) -> list[tuple]:
+    """The path of every key at every depth of a nested config."""
+    paths = []
+    for key, value in tree.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths.extend(_key_paths(value, prefix + (key,)))
+    return paths
+
+
+_FILES_DATA = {"files": {"source": "a.tsv", "target": "b.tsv", "keep_labels": [0, 1], "balance": True}}
+_FUZZ_BASES = [
+    _tiny_config(regulator={"init_policy": "zero", "clamp_nonnegative": True, "target_batch_size": 8}),
+    _tiny_config(data=_FILES_DATA, reference_method="backbone_only"),
+]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**18), 10**18)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(_FUZZ_BASES), data=st.data(), value=_json_values)
+    def test_one_field_replaced_parses_or_is_config_error(self, base, data, value):
+        """Any one field of a valid config replaced by any JSON value either
+        parses or raises ConfigError, never another exception."""
+        path = data.draw(st.sampled_from(_key_paths(base)))
+        raw = json.loads(json.dumps(base))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            config_from_dict(raw)
+        except ConfigError:
+            pass
 
 
 class TestRunExperiment:
@@ -309,6 +355,17 @@ class TestCli:
         cfg_path.write_text(json.dumps(_tiny_config(**override)))
         assert main(["experiment", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_oversized_embedding_table_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(_tiny_config(backbone={"embedding_dim": 4, "buckets": 10**15})))
+        assert main(["experiment", "--config", str(cfg_path)]) == 1
+        assert "buckets * embedding_dim = 4000000000000000" in capsys.readouterr().err
+        data = tmp_path / "t.tsv"
+        data.write_text("a b\tc d\t0\ne f\tg h\t1\n", encoding="utf-8")
+        args = ["train", "--method", "backbone_only", "--target-fs", str(data), "--buckets", str(10**15)]
+        assert main(args) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_report_without_tables_exit_code(self, tmp_path, capsys):
         results = tmp_path / "results.json"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_model, small_arch, small_task
+from helpers import make_example, oracle_permutation_test, random_model, small_arch, small_task
+from metaweight.backbones import BACKBONE_KINDS, ModelState, example_features, forward
 from metaweight.errors import DimensionError, DomainError
 from metaweight.stats import PredictionRecord, accuracy, permutation_test, predict
-from metaweight.vectors import RngState
+from metaweight.vectors import RngState, sample_uniform
 
 
 def _record(pred, true):
@@ -46,6 +47,39 @@ class TestPredict:
         assert len(record) == len(src.examples)
         assert set(np.unique(record.predicted)) <= {0, 1}
         assert np.array_equal(record.true, [ex.label for ex in src.examples])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(BACKBONE_KINDS),
+        classes=st.integers(2, 4),
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcdefgh"), max_size=4),
+                st.lists(st.sampled_from("abcdefgh"), max_size=4),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_batched_matches_per_example_forward(self, kind, classes, pairs, seed):
+        """One batched forward picks the class that the one-row `forward` of
+        each example does; truth labels beyond the class count pass through."""
+        arch = small_arch(kind, dim=3, hidden=5, buckets=32, seed=seed % 97, classes=classes)
+        model = ModelState(sample_uniform(RngState(seed), -1.0, 1.0, arch.param_count), arch)
+        examples = [make_example(a, b, label) for a, b, label in pairs]
+        record = predict(model, examples)
+        want = [int(np.argmax(forward(model, example_features(arch, ex)))) for ex in examples]
+        assert record.predicted.tolist() == want
+        assert record.true.tolist() == [label for _, _, label in pairs]
+
+    def test_empty_and_out_of_range_truth(self):
+        model = random_model(small_arch("logistic"), 4)
+        empty = predict(model, [])
+        assert len(empty) == 0 and empty.predicted.dtype == np.int64
+        record = predict(model, [make_example("ab", "cd", 7)])
+        assert record.true.tolist() == [7] and record.predicted[0] in (0, 1)
 
 
 class TestPermutationTest:
@@ -100,3 +134,31 @@ class TestPermutationTest:
         pb = (rng.uniforms(30) < 0.5).astype(np.int64)
         p = permutation_test(_record(pa, true), _record(pb, true), 99, RngState(seed + 1))
         assert 0.0 < p <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        n_perm=st.integers(1, 3000),
+        disagree=st.floats(0.0, 1.0),
+        classes=st.integers(2, 4),
+        data_seed=st.integers(0, 2**32),
+        seed=st.integers(0, 2**64 - 1),
+        position=st.integers(0, 2**40),
+    )
+    @example(n=300, n_perm=3000, disagree=0.0, classes=2, data_seed=0, seed=5, position=0)
+    @example(n=300, n_perm=3000, disagree=1.0, classes=3, data_seed=1, seed=2**64 - 1, position=7)
+    def test_matches_dense_oracle(self, n, n_perm, disagree, classes, data_seed, seed, position):
+        """p-value and final cursor equal the dense draw's, exactly, across
+        block boundaries and for all-zero differences."""
+        gen = np.random.default_rng(data_seed)
+        true = gen.integers(0, classes, n)
+        wrong = (true + gen.integers(1, classes, n)) % classes
+        differ = gen.random(n) < disagree
+        a_wrong = gen.random(n) < 0.5
+        both_wrong = ~differ & (gen.random(n) < 0.3)
+        pa = np.where((differ & a_wrong) | both_wrong, wrong, true)
+        pb = np.where((differ & ~a_wrong) | both_wrong, wrong, true)
+        a, b = _record(pa, true), _record(pb, true)
+        fast, dense = RngState(seed, position), RngState(seed, position)
+        assert permutation_test(a, b, n_perm, fast) == oracle_permutation_test(a, b, n_perm, dense)
+        assert fast.position == dense.position == position + n_perm * n

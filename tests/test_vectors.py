@@ -14,17 +14,20 @@ from metaweight.vectors import (
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
-def _splitmix_reference(seed: int, n: int) -> list[float]:
+def _splitmix_words(seed: int, position: int, n: int) -> list[int]:
     # independent scalar implementation of the same counter-based stream
     mask = 0xFFFFFFFFFFFFFFFF
     out = []
-    for i in range(1, n + 1):
+    for i in range(position + 1, position + n + 1):
         z = (seed + i * 0x9E3779B97F4A7C15) & mask
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        out.append((z >> 11) * 2.0**-53)
+        out.append(z ^ (z >> 31))
     return out
+
+
+def _splitmix_reference(seed: int, n: int) -> list[float]:
+    return [(z >> 11) * 2.0**-53 for z in _splitmix_words(seed, 0, n)]
 
 
 class TestDot:
@@ -83,6 +86,24 @@ class TestRng:
     def test_permutation_is_permutation(self):
         perm = RngState(8).permutation(100)
         assert sorted(perm.tolist()) == list(range(100))
+
+    @given(
+        seed=st.one_of(st.integers(2**64 - 2**16, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        position=st.integers(0, 2**40),
+        n=st.integers(1, 200),
+        data=st.data(),
+    )
+    def test_addressed_words_match_sequential_draws(self, seed, position, n, data):
+        """Word k past the cursor is the k-th word of the next sequential
+        draws, including where seed + i * GAMMA wraps; the cursor stays."""
+        offsets = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)), dtype=np.uint64)
+        rng = RngState(seed, position)
+        words = rng.words_at(offsets)
+        assert rng.position == position
+        reference = _splitmix_words(seed, position, n)
+        assert words.tolist() == [reference[k] for k in offsets.tolist()]
+        uniforms = RngState(seed, position).uniforms(n)
+        assert np.array_equal((words >> np.uint64(11)).astype(np.float64) * 2.0**-53, uniforms[offsets])
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(RngState(1).uniforms(10), RngState(2).uniforms(10))
