@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or config error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -79,17 +80,7 @@ def _cmd_prep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = ShiftSpec(
-        n_source=args.n_source,
-        n_target=args.n_target,
-        source_vocab=args.source_vocab,
-        target_vocab=args.target_vocab,
-        source_prefix=args.source_prefix,
-        target_prefix=args.target_prefix,
-        min_fillers=args.min_fillers,
-        max_fillers=args.max_fillers,
-        flip_fraction=args.flip_fraction,
-    )
+    spec = ShiftSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ShiftSpec)})
     source, target = gen_synthetic_shift(spec, RngState(args.seed))
     out = Path(args.out_dir)
     write_tsv(source, out / "source.tsv")
@@ -188,15 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic source/target pair of TSVs")
     gen.add_argument("--out-dir", required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--n-source", type=int, default=2000)
-    gen.add_argument("--n-target", type=int, default=600)
-    gen.add_argument("--source-vocab", type=int, default=50)
-    gen.add_argument("--target-vocab", type=int, default=50)
-    gen.add_argument("--source-prefix", default="src")
-    gen.add_argument("--target-prefix", default="tgt")
-    gen.add_argument("--min-fillers", type=int, default=2)
-    gen.add_argument("--max-fillers", type=int, default=4)
-    gen.add_argument("--flip-fraction", type=float, default=0.0)
+    for field in dataclasses.fields(ShiftSpec):  # one flag per field, with the library default
+        gen.add_argument("--" + field.name.replace("_", "-"), type=type(field.default), default=field.default)
     gen.set_defaults(handler=_cmd_gen)
 
     train = sub.add_parser("train", help="run one training method")

@@ -4,6 +4,14 @@ The on-disk format is header-less UTF-8 TSV, one example per line:
 text_a TAB text_b TAB integer label. Texts are tokenized at load time;
 tokens never contain tabs or whitespace, so writing a dataset and loading
 it back is the identity.
+
+Synthetic generation is an array program: every example takes a fixed
+number of words from the seeded stream (see ShiftSpec), so where each word
+of each example sits is known in closed form. A side is drawn in blocks of
+whole examples with one `uniforms` call per block; marker indices, filler
+counts and token ids come out of the block as arrays, and only the ids that
+occur are formatted as tokens. The datasets and the final stream position
+equal those of drawing the words one example at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .backbones import Example
 from .errors import ConfigError, DataError, DomainError
@@ -207,6 +217,22 @@ class ShiftSpec:
     gets its stored label inverted, so those examples teach the opposite
     of the rule. Whether a generated example is flipped can always be
     recomputed by comparing its stored label with rule_label.
+
+    Stream layout. Each side (target first, then source) is a run of
+    examples with labels 0, 1, 0, 1, ...; example i has label i % 2 and takes
+    1 + [label == 0] + 2 * (1 + max_fillers) words, in this order: the a-side
+    marker index, choice_int(P); for label 0 only, the offset of the b-side
+    marker, b = (a + 1 + choice_int(P - 1)) % P, so that it differs from a;
+    then the two sentences, a-side first, each of 1 + max_fillers words: the
+    filler count min_fillers + choice_int(max_fillers - min_fillers + 1),
+    then one token id choice_int(vocab) per filler slot, of which only the
+    first count are used. A sentence is its marker, marker_repeats times,
+    then its fillers; markers go first so that truncation can only drop
+    fillers. A pair of examples thus spans 3 + 4 * (1 + max_fillers) words
+    whatever the sentence lengths, and example i starts at a closed-form
+    offset, which lets a whole block of examples be drawn at once. After both
+    sides come the flip permutations of the two source classes and the
+    shuffles of the source and of the target.
     """
 
     n_source: int = 2000
@@ -251,30 +277,57 @@ def rule_label(spec: ShiftSpec, text_a: Sequence[str], text_b: Sequence[str]) ->
     return int(a_idx is not None and a_idx == b_idx)
 
 
-def _sentence(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, marker: str) -> tuple[str, ...]:
-    # fixed draw stride per sentence keeps the stream layout independent of
-    # lengths; markers go first so truncation can only drop fillers
-    draws = rng.uniforms(1 + spec.max_fillers)
-    span = spec.max_fillers - spec.min_fillers + 1
-    count = spec.min_fillers + min(int(draws[0] * span), span - 1)
-    tokens = [marker] * spec.marker_repeats
-    tokens.extend(f"{prefix}{min(int(d * vocab), vocab - 1):03d}" for d in draws[1 : 1 + count])
-    return tuple(tokens)
+# Words drawn per block of synthetic examples: enough to amortize the numpy
+# calls, few enough that a block's arrays stay small whatever the set size.
+_BLOCK_WORDS = 1 << 16
+
+
+def _draw_index(u: np.ndarray, bound: int) -> np.ndarray:
+    """min(int(u * bound), bound - 1) per uniform, which is what
+    `RngState.choice_int` returns for that draw: int64 while the sum of two
+    indices fits, Python ints beyond."""
+    scaled = u * float(bound)
+    if bound <= 1 << 62:
+        return np.minimum(scaled.astype(np.int64), bound - 1)
+    return np.minimum(np.frompyfunc(int, 1, 1)(scaled), bound - 1)
+
+
+def _format(ids: np.ndarray, fmt) -> list:
+    """fmt(i) for every id, calling fmt once per distinct id."""
+    values = ids.tolist()
+    names = {i: fmt(i) for i in set(values)}
+    return [names[i] for i in values]
 
 
 def _generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int) -> list[Example]:
-    pairs = spec.marker_pairs
-    examples = []
-    for i in range(n):
-        label = i % 2
-        a_idx = rng.choice_int(pairs)
-        if label == 1:
-            b_idx = a_idx
-        else:
-            b_idx = (a_idx + 1 + rng.choice_int(pairs - 1)) % pairs
-        a = _sentence(spec, rng, prefix, vocab, f"qm{a_idx:02d}")
-        b = _sentence(spec, rng, prefix, vocab, f"rm{b_idx:02d}")
-        examples.append(Example(a, b, label))
+    """n examples with alternating labels 0, 1, 0, ..., drawn in blocks.
+
+    The words of a pair of examples (labels 0 and 1) sit at fixed offsets of
+    a row of `stride` words; see ShiftSpec for the layout."""
+    pairs, repeats = spec.marker_pairs, spec.marker_repeats
+    width = 1 + spec.max_fillers
+    span = spec.max_fillers - spec.min_fillers + 1
+    stride = 3 + 4 * width
+    sentence_cols = np.r_[2 : 2 + 2 * width, 3 + 2 * width : stride]
+    per_block = max(1, _BLOCK_WORDS // stride)
+    examples: list[Example] = []
+    for first in range(0, n // 2, per_block):
+        rows = rng.uniforms(min(per_block, n // 2 - first) * stride).reshape(-1, stride)
+        a_idx = _draw_index(rows[:, [0, 2 + 2 * width]], pairs)  # columns: label 0, label 1
+        b_idx = a_idx.copy()  # label 1: the markers correspond
+        b_idx[:, 0] = (a_idx[:, 0] + 1 + _draw_index(rows[:, 1], pairs - 1)) % pairs
+        # one row per sentence, in example order, side a before side b
+        sentences = rows[:, sentence_cols].reshape(-1, width)
+        counts = spec.min_fillers + _draw_index(sentences[:, 0], span)
+        used = np.arange(width - 1) < counts[:, None]
+        fillers = _format(_draw_index(sentences[:, 1:][used], vocab), lambda i: f"{prefix}{i:03d}")
+        qm = _format(a_idx.ravel(), lambda i: (f"qm{i:02d}",) * repeats)
+        rm = _format(b_idx.ravel(), lambda i: (f"rm{i:02d}",) * repeats)
+        ends = np.cumsum(counts).tolist()
+        texts = [tuple(fillers[end - c : end]) for end, c in zip(ends, counts.tolist())]
+        examples.extend(
+            Example(qm[k] + texts[2 * k], rm[k] + texts[2 * k + 1], k % 2) for k in range(len(qm))
+        )
     return examples
 
 

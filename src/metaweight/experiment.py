@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -75,6 +76,13 @@ class RegulatorSection:
     target_batch_size: int | None = None
 
 
+# Largest n_permutations a config may ask for. A permutation test computes
+# n_perm words per example on which the two methods differ, so its time is
+# linear in n_perm; the cap is 1000x the 10^4 of the committed configs and
+# the benchmark, and keeps a typo such as 10^18 from running for years.
+MAX_PERMUTATIONS = 10**7
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data_synthetic: ShiftSpec | None
@@ -105,16 +113,18 @@ class ExperimentConfig:
             raise ConfigError("at least one shot value >= 1 is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.reference_method is not None and self.reference_method not in self.methods:
             raise ConfigError(f"reference method {self.reference_method!r} is not in methods")
-        if self.n_permutations < 1:
-            raise ConfigError("n_permutations must be >= 1")
+        if not 1 <= self.n_permutations <= MAX_PERMUTATIONS:
+            raise ConfigError(
+                f"n_permutations must be between 1 and the cap of {MAX_PERMUTATIONS}, got {self.n_permutations}"
+            )
 
 
 _TOP_KEYS = {

@@ -32,6 +32,7 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +65,8 @@ class RegulatorConfig:
     target_batch_size: int | None = None  # None: full target set, capped at TARGET_BATCH_CAP
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.init_policy not in INIT_POLICIES:
             raise ConfigError(f"unknown init policy {self.init_policy!r}; expected one of {INIT_POLICIES}")
         if self.source_batch_size < 1:

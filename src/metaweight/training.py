@@ -15,6 +15,7 @@ featurizing each batch afresh.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -51,8 +52,8 @@ class TrainSpec:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.method == "mwr":

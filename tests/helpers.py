@@ -1,11 +1,14 @@
 """Shared test utilities: finite-difference oracles, per-example gradient
 formulas and loops, per-step training loops over example batches, the dense
-permutation test, and tolerance checks."""
+permutation test, the per-example synthetic generator, and tolerance checks."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+import metaweight.data
 from metaweight.backbones import (
     BackboneArch,
     Example,
@@ -103,6 +106,39 @@ def oracle_permutation_test(
         exceed += int((stats >= observed).sum())
         done += take
     return (1 + exceed) / (1 + n_perm)
+
+
+def _oracle_sentence(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, marker: str) -> tuple[str, ...]:
+    draws = rng.uniforms(1 + spec.max_fillers)
+    span = spec.max_fillers - spec.min_fillers + 1
+    count = spec.min_fillers + min(int(draws[0] * span), span - 1)
+    tokens = [marker] * spec.marker_repeats
+    tokens.extend(f"{prefix}{min(int(d * vocab), vocab - 1):03d}" for d in draws[1 : 1 + count])
+    return tuple(tokens)
+
+
+def oracle_generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int) -> list[Example]:
+    """One side of the synthetic shift drawn one example at a time, each
+    word taken from the stream in turn."""
+    pairs = spec.marker_pairs
+    examples = []
+    for i in range(n):
+        label = i % 2
+        a_idx = rng.choice_int(pairs)
+        if label == 1:
+            b_idx = a_idx
+        else:
+            b_idx = (a_idx + 1 + rng.choice_int(pairs - 1)) % pairs
+        a = _oracle_sentence(spec, rng, prefix, vocab, f"qm{a_idx:02d}")
+        b = _oracle_sentence(spec, rng, prefix, vocab, f"rm{b_idx:02d}")
+        examples.append(Example(a, b, label))
+    return examples
+
+
+def oracle_gen_synthetic_shift(spec: ShiftSpec, rng: RngState):
+    """gen_synthetic_shift with each side drawn by oracle_generate_side."""
+    with mock.patch.object(metaweight.data, "_generate_side", oracle_generate_side):
+        return gen_synthetic_shift(spec, rng)
 
 
 def small_arch(

@@ -2,9 +2,11 @@ import logging
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_gen_synthetic_shift
+from metaweight import data
 from metaweight.backbones import Example
 from metaweight.data import (
     Dataset,
@@ -282,6 +284,54 @@ class TestSyntheticShift:
             ShiftSpec(marker_repeats=0)
         with pytest.raises(ConfigError):
             ShiftSpec(marker_pairs=1)
+
+
+def _assert_same_as_oracle(spec: ShiftSpec, seed: int, position: int) -> None:
+    fast, slow = RngState(seed, position), RngState(seed, position)
+    got, want = gen_synthetic_shift(spec, fast), oracle_gen_synthetic_shift(spec, slow)
+    assert got[0].examples == want[0].examples
+    assert got[1].examples == want[1].examples
+    assert fast.position == slow.position
+
+
+class TestSyntheticMatchesOracle:
+    """The blocked generator against the per-example draw it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.integers(2, 6),
+        repeats=st.integers(1, 3),
+        min_fillers=st.integers(1, 6),
+        extra=st.integers(0, 8),
+        vocabs=st.tuples(st.integers(1, 10**12), st.integers(1, 10**12)),
+        sizes=st.tuples(st.integers(1, 20), st.integers(0, 20)),
+        flip=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        position=st.integers(0, 2**48),
+    )
+    @example(pairs=2**62 + 1, repeats=1, min_fillers=1, extra=3000, vocabs=(10**30, 3),
+             sizes=(2, 20), flip=0.5, seed=7, position=0)
+    def test_equal_datasets_and_cursor(
+        self, pairs, repeats, min_fillers, extra, vocabs, sizes, flip, seed, position
+    ):
+        spec = ShiftSpec(
+            n_source=2 * (sizes[0] + sizes[1]),
+            n_target=2 * sizes[0],
+            source_vocab=vocabs[0],
+            target_vocab=vocabs[1],
+            min_fillers=min_fillers,
+            max_fillers=min_fillers + extra,
+            marker_pairs=pairs,
+            marker_repeats=repeats,
+            flip_fraction=flip,
+        )
+        _assert_same_as_oracle(spec, seed, position)
+
+    def test_several_blocks(self):
+        spec = ShiftSpec(n_source=12000, n_target=600, flip_fraction=0.5, source_vocab=10**12)
+        pairs_per_block = data._BLOCK_WORDS // (3 + 4 * (1 + spec.max_fillers))
+        assert spec.n_source // 2 > 2 * pairs_per_block  # the source spans three blocks
+        _assert_same_as_oracle(spec, 1, 12345)
 
 
 class TestShiftTrainability:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaweight.cli import main
+from metaweight.data import ShiftSpec, load_tsv
 from metaweight.errors import ConfigError, DataError
 from metaweight.experiment import (
+    MAX_PERMUTATIONS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -108,11 +111,20 @@ class TestConfigParsing:
             ({"backbone": 5}, "backbone"),
             ({"backbone": {"kind": "mlp", "embedding_dim": 4.0}}, "embedding_dim"),
             ({"methods": 5}, "methods"),
+            ({"alpha": float("nan")}, "alpha"),
+            ({"alpha": float("inf")}, "alpha"),
+            ({"alpha": float("-inf")}, "alpha"),
         ],
     )
     def test_wrong_types_are_config_errors(self, override, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(_tiny_config(**override))
+
+    def test_n_permutations_cap(self):
+        cfg = config_from_dict(_tiny_config(n_permutations=MAX_PERMUTATIONS))
+        assert cfg.n_permutations == MAX_PERMUTATIONS
+        with pytest.raises(ConfigError, match=f"cap of {MAX_PERMUTATIONS}, got {MAX_PERMUTATIONS + 1}"):
+            config_from_dict(_tiny_config(n_permutations=MAX_PERMUTATIONS + 1))
 
 
 def _key_paths(tree: dict, prefix: tuple = ()) -> list[tuple]:
@@ -335,6 +347,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "accuracy" in out
 
+    def test_gen_defaults_are_shift_spec_defaults(self, tmp_path):
+        assert main(["gen", "--out-dir", str(tmp_path / "a"), "--n-source", "40", "--n-target", "20"]) == 0
+        manifest = json.loads((tmp_path / "a" / "gen_manifest.json").read_text())
+        assert manifest["spec"] == dataclasses.asdict(ShiftSpec(n_source=40, n_target=20))
+        args = ["gen", "--out-dir", str(tmp_path / "b"), "--marker-pairs", "5", "--marker-repeats", "1"]
+        assert main(args) == 0
+        spec = json.loads((tmp_path / "b" / "gen_manifest.json").read_text())["spec"]
+        assert (spec["marker_pairs"], spec["marker_repeats"]) == (5, 1)
+        source = load_tsv(tmp_path / "b" / "source.tsv")
+        assert {ex.text_a[0] for ex in source.examples} == {f"qm{i:02d}" for i in range(5)}
+
     def test_experiment_and_report(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_tiny_config(output_dir=str(tmp_path / "results"))))
@@ -349,10 +372,12 @@ class TestCli:
         assert main(["train", "--method", "notamethod", "--target-fs", "x.tsv"]) == 1
         assert main(["bogus-subcommand"]) == 1
 
-    @pytest.mark.parametrize("override", [{"seeds": 3}, {"alpha": "0.05"}, {"backbone": 5}])
+    @pytest.mark.parametrize(
+        "override", [{"seeds": 3}, {"alpha": "0.05"}, {"backbone": 5}, {"alpha": float("nan")}]
+    )
     def test_wrong_config_type_exit_code(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(_tiny_config(**override)))
+        cfg_path.write_text(json.dumps(_tiny_config(**override)))  # NaN is written as the literal NaN
         assert main(["experiment", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 

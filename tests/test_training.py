@@ -84,6 +84,13 @@ class TestTrainSpec:
         with pytest.raises(ConfigError):
             TrainSpec(method="distill")
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be a finite number > 0"):
+            TrainSpec(method="backbone_only", alpha=alpha)
+        with pytest.raises(ConfigError, match="learning_rate must be a finite number > 0"):
+            RegulatorConfig(learning_rate=alpha)
+
     def test_mwr_gets_default_regulator(self):
         spec = TrainSpec(method="mwr", alpha=0.07, batch_size=12)
         assert spec.regulator is not None
