@@ -1,4 +1,4 @@
-"""Time the frozen benchmark cell once, phase by phase, and write the numbers as JSON.
+"""Time the frozen benchmark cell, phase by phase, and its mwr training before and after a change; write JSON.
 
     python scripts/bench.py --out BENCH_<n>.json [--before-src OTHER_CHECKOUT/src]
 
@@ -13,12 +13,16 @@ takes, with timers around the calls the cell makes into the package:
   later ones hit the feature memo) and `predict`;
 - `permutation`: all permutation tests of the cell, and their count.
 
-Synthetic generation of the cell's data is also timed alone, REPEATS times,
-together with a digest of the datasets and the final stream position. With
---before-src it is timed the same way for another checkout's src/ (for
-instance the parent commit's), in a separate process, so the file holds
-before and after generation numbers from one machine. Machine facts come
-from perfbench's facts block, computed when the script runs.
+The headline number, the cell's `mwr` run_training, is also timed alone in a
+fresh process, PAIRS times, with the feature memo warmed first as it is in
+the full cell, where mwr runs last; each run records digests of the final
+parameters, the loss trace and the weight trace. Synthetic generation of the
+cell's data is timed in the same process, REPEATS times, with a digest of
+the datasets and the final stream position. With --before-src the same
+process is run for another checkout's src/ (for instance the parent
+commit's), alternating with this one, so the file holds before and after
+numbers from one machine, and whether the medians meet MWR_TARGET_S. Machine
+facts come from perfbench's facts block, computed when the script runs.
 """
 
 from __future__ import annotations
@@ -32,10 +36,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "flip_benchmark.json"
 SEED = 1
 REPEATS = 3
+PAIRS = 2
+MWR_TARGET_S = 15.0
 
 
 def import_metaweight(src: Path):
@@ -50,9 +58,9 @@ def import_metaweight(src: Path):
     return metaweight
 
 
-def cell_config(mw):
+def cell_config(mw, **overrides):
     raw = json.loads(CONFIG.read_text(encoding="utf-8"))
-    return mw.experiment.config_from_dict(dict(raw, seeds=[SEED]))
+    return mw.experiment.config_from_dict(dict(raw, seeds=[SEED], **overrides))
 
 
 def time_generation(mw) -> dict:
@@ -68,6 +76,42 @@ def time_generation(mw) -> dict:
         seconds.append(time.perf_counter() - start)
     digest = hashlib.sha256(repr((source.examples, target.examples)).encode()).hexdigest()
     return {"seconds": seconds, "median_s": statistics.median(seconds), "position": rng.position, "digest": digest}
+
+
+def _digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def time_headline_mwr(mw) -> dict:
+    """The cell's mwr run_training, timed after warming the feature memo."""
+    exp = mw.experiment
+    original = exp.run_training
+    runs = []
+
+    def timed(spec, model, s_train, t_fs):
+        mw.backbones.featurize(model.arch, s_train)
+        mw.backbones.featurize(model.arch, t_fs)
+        start = time.perf_counter()
+        report = original(spec, model, s_train, t_fs)
+        runs.append((time.perf_counter() - start, report))
+        return report
+
+    cfg = cell_config(mw, methods=["mwr"])
+    exp.run_training = timed
+    try:
+        exp.run_experiment(cfg)
+    finally:
+        exp.run_training = original
+    (seconds, report), = runs
+    # row iteration reads a tuple of rows (older checkouts) and a WeightTrace alike
+    rows = [(row.step, row.example_id, row.metagrad, row.weight) for row in report.weight_trace]
+    columns = [np.array(column) for column in zip(*rows)]
+    return {
+        "train_s": seconds,
+        "params_digest": _digest(report.model.params),
+        "loss_trace_digest": _digest(np.array(report.target_loss_trace)),
+        "weight_trace_digest": _digest(*columns),
+    }
 
 
 class Phases:
@@ -137,31 +181,48 @@ def time_cell(mw) -> dict:
     }
 
 
+def time_in_process(src: Path) -> dict:
+    """Generation and the headline mwr of the metaweight in `src`, in a fresh process."""
+    cmd = [sys.executable, __file__, "--time-src", str(src)]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="where to write the JSON record")
-    parser.add_argument("--before-src", help="another checkout's src/ whose generation is timed for comparison")
-    parser.add_argument("--gen-only", metavar="SRC", help="time generation with the metaweight in SRC, print it, stop")
+    parser.add_argument("--before-src", help="another checkout's src/, timed the same way for comparison")
+    parser.add_argument("--time-src", metavar="SRC", help="time generation and mwr with the metaweight in SRC, print, stop")
     args = parser.parse_args(argv)
-    if args.gen_only:
-        print(json.dumps(time_generation(import_metaweight(Path(args.gen_only).resolve()))))
+    if args.time_src:
+        mw = import_metaweight(Path(args.time_src).resolve())
+        print(json.dumps({"generation": time_generation(mw), "mwr": time_headline_mwr(mw)}))
         return 0
     if not args.out:
-        parser.error("--out is required unless --gen-only is given")
+        parser.error("--out is required unless --time-src is given")
     mw = import_metaweight(ROOT / "src")
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import run_facts
 
     record = {"cell": {"config": str(CONFIG.relative_to(ROOT)), "seed": SEED}, "facts": run_facts(mw)}
-    generation = {"after": time_generation(mw)}
+    sides = {"after": ROOT / "src"}
     if args.before_src:
-        cmd = [sys.executable, __file__, "--gen-only", args.before_src]
-        done = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        generation["before"] = json.loads(done.stdout.splitlines()[-1])
-    record["generation"] = generation
+        sides = {"before": Path(args.before_src).resolve(), **sides}
+    timed = {side: [] for side in sides}
+    for _ in range(PAIRS):
+        for side, src in sides.items():
+            timed[side].append(time_in_process(src))
+    record["generation"] = {side: runs[0]["generation"] for side, runs in timed.items()}
+    headline = {side: [run["mwr"] for run in runs] for side, runs in timed.items()}
+    for side in sides:
+        headline[f"{side}_median_s"] = statistics.median(run["train_s"] for run in headline[side])
+    headline["target_s"] = MWR_TARGET_S
+    headline["target_met"] = headline["after_median_s"] <= MWR_TARGET_S
+    record["headline_mwr"] = headline
     record["cell_phases"] = time_cell(mw)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record["generation"], indent=2))
+    print(json.dumps(record["headline_mwr"], indent=2))
     print(json.dumps(record["cell_phases"], indent=2))
     return 0
 

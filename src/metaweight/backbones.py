@@ -41,7 +41,9 @@ e_l. The weighted gradient sum_i w_i g_i is _vjp of the rows w_i dlog_i,
 and the alignment <g_i, r> is the row-wise dot dlog_i' (J_i r), so no
 per-example gradient is formed. The floor only bounds the reported loss;
 where it binds (true-class probability below 1e-12) the analytic gradient
-is that of the unfloored loss.
+is that of the unfloored loss. `linearize` keeps the rows, the hidden layer
+and dlog of one forward pass as a Linearized, which every gradient and
+alignment at the same ModelState reads instead of running _forward again.
 
 Nothing here mutates a ModelState or an EmbeddingTable: every update
 constructs a new state from a new vector, and embedding values are marked
@@ -333,9 +335,9 @@ def per_example_gradient(model: ModelState, example: Example) -> np.ndarray:
     return batch_weighted_gradient_fast(model, (example,), np.ones(1))
 
 
-def batch_loss(model: ModelState, examples: Sequence[Example]) -> float:
-    """Summed per-example cross-entropy over a batch, from one forward pass."""
-    batch = featurize(model.arch, examples)
+def batch_loss(model: ModelState, examples: FeatureBatch | Sequence[Example]) -> float:
+    """Summed per-example cross-entropy over rows or examples, from one forward pass."""
+    batch = examples if isinstance(examples, FeatureBatch) else featurize(model.arch, examples)
     probs = _probs(model.arch, model.params, batch.scaled)[np.arange(len(batch)), batch.labels]
     loss = float(-np.log(np.maximum(probs, PROB_FLOOR)).sum())
     if not math.isfinite(loss):
@@ -362,6 +364,18 @@ class FeatureBatch:
         """The rows at `ids`, in that order, as a new batch."""
         return FeatureBatch(self.scaled[ids], self.labels[ids])
 
+    @functools.cached_property
+    def class_members(self) -> tuple[np.ndarray, ...]:
+        """Row indices of each class present, in ascending class order;
+        computed on first use and kept, since the batch never changes."""
+        return class_members(self.labels)
+
+
+def class_members(labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending row indices of each distinct label, in ascending label order."""
+    _, counts = np.unique(labels, return_counts=True)
+    return tuple(np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1]))
+
 
 def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
     """Scaled feature matrix and label vector of a sequence of examples."""
@@ -374,33 +388,67 @@ def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
     return FeatureBatch(scaled, labels)
 
 
-def _logit_gradients(model: ModelState, examples: FeatureBatch | Sequence[Example]):
-    """The scaled rows, the hidden layer, and each row's cross-entropy
-    gradient in its logits, p - onehot(label)."""
-    batch = examples if isinstance(examples, FeatureBatch) else featurize(model.arch, examples)
+@dataclass(frozen=True, eq=False)
+class Linearized:
+    """A batch linearized at one model: its scaled rows and labels, the
+    hidden layer, and each row's cross-entropy gradient in its logits,
+    dlog = p - onehot(label). Everything a gradient or an alignment needs
+    at that model, computed once. `model` is kept so that its identity, which
+    `linearize` checks, cannot pass to another state while this object lives.
+    """
+
+    model: ModelState
+    scaled: np.ndarray
+    labels: np.ndarray
+    hidden: np.ndarray | None
+    dlog: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.labels.shape[0])
+
+
+# A batch as the gradient functions take it: linearized, rows, or examples.
+Batch = Linearized | FeatureBatch | Sequence[Example]
+
+
+def linearize(model: ModelState, examples: Batch) -> Linearized:
+    """One forward pass over a batch at `model`. A Linearized taken at this
+    very model is returned as it is; one taken at any other model, even with
+    equal parameters, is recomputed from its rows."""
+    if isinstance(examples, Linearized) and examples.model is model:
+        return examples
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch, hidden, dlog = _logit_gradients(model, examples)
+    dlog.setflags(write=False)
+    return Linearized(model, batch.scaled, batch.labels, hidden, dlog)
+
+
+def _logit_gradients(model: ModelState, examples: Batch):
+    """The batch's rows, the hidden layer, and each row's cross-entropy
+    gradient in its logits, p - onehot(label): the stored parts of a
+    Linearized taken at this model, recomputed for anything else."""
+    if isinstance(examples, Linearized) and examples.model is model:
+        return examples, examples.hidden, examples.dlog
+    batch = examples if isinstance(examples, (FeatureBatch, Linearized)) else featurize(model.arch, examples)
     logits, hidden = _forward(model.arch, model.params, batch.scaled)
     dlog = _softmax(logits)
     dlog[np.arange(len(batch)), batch.labels] -= 1.0
-    return batch.scaled, hidden, dlog
+    return batch, hidden, dlog
 
 
-def batch_weighted_gradient_fast(
-    model: ModelState, examples: FeatureBatch | Sequence[Example], weights
-) -> np.ndarray:
-    """sum_i weights_i * grad_i over a FeatureBatch or examples, as one VJP;
+def batch_weighted_gradient_fast(model: ModelState, examples: Batch, weights) -> np.ndarray:
+    """sum_i weights_i * grad_i over a linearized batch, rows or examples, as one VJP;
     the per-example gradients are never materialized."""
     weights = as_vector(weights)
     if weights.shape[0] != len(examples):
         raise DimensionError(f"{len(examples)} examples but {weights.shape[0]} weights")
     with np.errstate(over="ignore", invalid="ignore"):
-        X, hidden, dlog = _logit_gradients(model, examples)
-        grad = _vjp(model.arch, model.params, X, hidden, dlog * weights[:, None])
+        batch, hidden, dlog = _logit_gradients(model, examples)
+        grad = _vjp(model.arch, model.params, batch.scaled, hidden, dlog * weights[:, None])
     return require_finite(grad, "batch gradient")
 
 
-def alignment_scores(
-    model: ModelState, examples: FeatureBatch | Sequence[Example], reference: np.ndarray
-) -> np.ndarray:
+def alignment_scores(model: ModelState, examples: Batch, reference: np.ndarray) -> np.ndarray:
     """<grad_i, reference> for every example, as dlog_i' (J_i reference);
     the per-example gradients are never materialized."""
     reference = as_vector(reference)
@@ -409,6 +457,6 @@ def alignment_scores(
             f"reference has length {reference.shape[0]}, expected {model.arch.param_count}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        X, hidden, dlog = _logit_gradients(model, examples)
-        scores = (dlog * _jvp(model.arch, model.params, X, hidden, reference)).sum(axis=1)
+        batch, hidden, dlog = _logit_gradients(model, examples)
+        scores = (dlog * _jvp(model.arch, model.params, batch.scaled, hidden, reference)).sum(axis=1)
     return require_finite(scores, "alignment scores")

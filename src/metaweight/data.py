@@ -299,17 +299,29 @@ def _format(ids: np.ndarray, fmt) -> list:
     return [names[i] for i in values]
 
 
-def _generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int) -> list[Example]:
-    """n examples with alternating labels 0, 1, 0, ..., drawn in blocks.
+def _row_words(spec: ShiftSpec) -> int:
+    """Words per pair of synthetic examples (labels 0 and 1)."""
+    return 3 + 4 * (1 + spec.max_fillers)
+
+
+def _generate_side(
+    spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int, flipped: np.ndarray | None = None
+) -> list[Example]:
+    """n examples with alternating labels 0, 1, 0, ..., drawn in blocks; the
+    stored label of example i is inverted where `flipped[i]` is set.
 
     The words of a pair of examples (labels 0 and 1) sit at fixed offsets of
     a row of `stride` words; see ShiftSpec for the layout."""
     pairs, repeats = spec.marker_pairs, spec.marker_repeats
     width = 1 + spec.max_fillers
     span = spec.max_fillers - spec.min_fillers + 1
-    stride = 3 + 4 * width
+    stride = _row_words(spec)
     sentence_cols = np.r_[2 : 2 + 2 * width, 3 + 2 * width : stride]
     per_block = max(1, _BLOCK_WORDS // stride)
+    labels = np.arange(n) % 2
+    if flipped is not None:
+        labels ^= flipped
+    labels = labels.tolist()
     examples: list[Example] = []
     for first in range(0, n // 2, per_block):
         rows = rng.uniforms(min(per_block, n // 2 - first) * stride).reshape(-1, stride)
@@ -325,24 +337,37 @@ def _generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: i
         rm = _format(b_idx.ravel(), lambda i: (f"rm{i:02d}",) * repeats)
         ends = np.cumsum(counts).tolist()
         texts = [tuple(fillers[end - c : end]) for end, c in zip(ends, counts.tolist())]
+        base = 2 * first
         examples.extend(
-            Example(qm[k] + texts[2 * k], rm[k] + texts[2 * k + 1], k % 2) for k in range(len(qm))
+            Example(qm[k] + texts[2 * k], rm[k] + texts[2 * k + 1], labels[base + k]) for k in range(len(qm))
         )
     return examples
 
 
-def gen_synthetic_shift(spec: ShiftSpec, rng: RngState) -> tuple[Dataset, Dataset]:
-    """(source, target) datasets; a seeded balanced slice of source labels is flipped."""
-    target = _generate_side(spec, rng, spec.target_prefix, spec.target_vocab, spec.n_target)
-    source = _generate_side(spec, rng, spec.source_prefix, spec.source_vocab, spec.n_source)
-    flip_per_class = round(spec.flip_fraction * (spec.n_source // 2))
-    members_by_class = {cls: [i for i, ex in enumerate(source) if ex.label == cls] for cls in (0, 1)}
+def _flipped(spec: ShiftSpec, rng: RngState) -> np.ndarray:
+    """Which source examples get their label inverted: flip_fraction of each
+    class, picked by one permutation of the class's members. Before the
+    shuffle, class c is the examples c, c + 2, c + 4, ..."""
+    half = spec.n_source // 2
+    per_class = round(spec.flip_fraction * half)
+    flipped = np.zeros(spec.n_source, dtype=bool)
     for cls in (0, 1):
-        members = members_by_class[cls]
-        order = rng.permutation(len(members))
-        for j in order[:flip_per_class]:
-            ex = source[members[j]]
-            source[members[j]] = Example(ex.text_a, ex.text_b, 1 - ex.label)
+        flipped[cls + 2 * rng.permutation(half)[:per_class]] = True
+    return flipped
+
+
+def gen_synthetic_shift(spec: ShiftSpec, rng: RngState) -> tuple[Dataset, Dataset]:
+    """(source, target) datasets; a seeded balanced slice of source labels is flipped.
+
+    The flip draws follow the source side in the stream, at a closed-form
+    offset, so they are taken first and every source example is built once,
+    with its final label."""
+    target = _generate_side(spec, rng, spec.target_prefix, spec.target_vocab, spec.n_target)
+    flip_start = rng.position + (spec.n_source // 2) * _row_words(spec)
+    flip_rng = RngState(rng.seed, flip_start)
+    flipped = _flipped(spec, flip_rng)
+    source = _generate_side(spec, rng, spec.source_prefix, spec.source_vocab, spec.n_source, flipped)
+    rng.position += flip_rng.position - flip_start
     source_order = rng.permutation(len(source))
     target_order = rng.permutation(len(target))
     return (

@@ -20,6 +20,14 @@ mwr_step is exactly init_weights, select_target_batch, weight_meta_gradient
 finite-difference checks exercise the code that trains. Each gradient and
 alignment is one batched backbone call; no g_i is ever formed.
 
+Steps 1, 3 and 4 read the source batch at the same theta, so the step
+linearizes it once (`backbones.linearize`: rows, hidden layer and
+p - onehot, tied to the model they were taken at) and passes that one
+object to the provisional update, the alignment and the real update; a step
+runs one forward pass over the source batch and one over the target batch.
+The per-step trace of metagradients and weights is kept by the caller, in
+the columns of a `training.WeightTrace`.
+
 Weights never persist across batches: every batch starts from its
 configured initialization. With zero initialization the provisional update
 is skipped, theta_tilde is theta itself, and the regulated weights reduce to
@@ -39,12 +47,15 @@ from typing import Sequence
 import numpy as np
 
 from .backbones import (
+    Batch,
     Example,
     FeatureBatch,
     ModelState,
     alignment_scores,
     batch_loss,
     batch_weighted_gradient_fast,
+    class_members,
+    linearize,
 )
 from .errors import ConfigError, DimensionError, DomainError
 from .vectors import RngState, as_vector, require_finite, require_same_length, sample_uniform
@@ -88,9 +99,7 @@ def init_weights(n: int, policy: str, rng: RngState) -> np.ndarray:
     raise ConfigError(f"unknown init policy {policy!r}; expected one of {INIT_POLICIES}")
 
 
-def virtual_update(
-    model: ModelState, batch: FeatureBatch | Sequence[Example], weights, alpha: float
-) -> np.ndarray:
+def virtual_update(model: ModelState, batch: Batch, weights, alpha: float) -> np.ndarray:
     """Provisional parameters theta - alpha * sum_i w_i g_i; the model is untouched.
 
     The result is linear in the weights (d theta_tilde / d w_i = -alpha * g_i),
@@ -105,7 +114,7 @@ def virtual_update(
     return model.params - float(alpha) * batch_weighted_gradient_fast(model, batch, weights)
 
 
-def target_loss(arch, theta_tilde, target_set: Sequence[Example]) -> float:
+def target_loss(arch, theta_tilde, target_set: FeatureBatch | Sequence[Example]) -> float:
     """Summed cross-entropy of the target examples at the given parameters."""
     if len(target_set) == 0:
         raise DomainError("target set must be non-empty")
@@ -121,7 +130,7 @@ def target_gradient(arch, theta, target_set: FeatureBatch | Sequence[Example]) -
 
 def weight_meta_gradient(
     model: ModelState,
-    batch: FeatureBatch | Sequence[Example],
+    batch: Batch,
     weights,
     target_set: FeatureBatch | Sequence[Example],
     alpha: float,
@@ -149,9 +158,7 @@ def regulate_weights(weights, metagrad, alpha: float, clamp: bool = True) -> np.
     return require_finite(out, "regulated weights")
 
 
-def weighted_training_step(
-    model: ModelState, batch: FeatureBatch | Sequence[Example], regulated, alpha: float
-) -> ModelState:
+def weighted_training_step(model: ModelState, batch: Batch, regulated, alpha: float) -> ModelState:
     """Real update from the ORIGINAL parameters with the regulated weights.
 
     The provisional parameters are discarded; only the weights they produced
@@ -168,10 +175,12 @@ def select_target_batch(
 
     With target_batch_size None the full set is used whenever it holds at
     most TARGET_BATCH_CAP examples; larger sets fall back to a balanced
-    draw of TARGET_BATCH_CAP. The draw takes one permutation per class in
-    ascending class order and keeps the picked rows in set order. A
-    FeatureBatch gives a FeatureBatch of the picked rows (the set itself
-    when it is used whole); examples give a tuple of examples.
+    draw of TARGET_BATCH_CAP. The draw orders each class's members by one
+    uniform each, classes in ascending order, and keeps the first of each
+    class in set order: the words and picks of one `permutation` per class,
+    from one `uniforms` call. A FeatureBatch keeps its class members (so a
+    run lists them once) and gives a FeatureBatch of the picked rows (the set
+    itself when it is used whole); examples give a tuple of examples.
     """
     rows = isinstance(target_set, FeatureBatch)
     size = cfg.target_batch_size
@@ -180,17 +189,19 @@ def select_target_batch(
     if size >= len(target_set):
         return target_set if rows else tuple(target_set)
     if rows:
-        labels = target_set.labels
+        members = target_set.class_members
     else:
         labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
-    classes = np.unique(labels)
-    base, extra = divmod(size, len(classes))
+        members = class_members(labels)
+    draws = rng.uniforms(len(target_set))
+    base, extra = divmod(size, len(members))
     chosen = []
-    for rank, cls in enumerate(classes):
-        members = np.flatnonzero(labels == cls)
-        take = min(base + (1 if rank < extra else 0), len(members))
-        order = rng.permutation(len(members))
-        chosen.append(members[order[:take]])
+    start = 0
+    for rank, cls_members in enumerate(members):
+        stop = start + len(cls_members)
+        order = np.argsort(draws[start:stop], kind="stable")
+        chosen.append(cls_members[order[: base + (1 if rank < extra else 0)]])
+        start = stop
     picked = np.sort(np.concatenate(chosen))
     return target_set.take(picked) if rows else tuple(target_set[i] for i in picked)
 
@@ -207,20 +218,24 @@ class StepDetail:
 
 def mwr_step(
     model: ModelState,
-    source_batch: FeatureBatch | Sequence[Example],
+    source_batch: Batch,
     target_set: FeatureBatch | Sequence[Example],
     cfg: RegulatorConfig,
     rng: RngState,
 ) -> StepDetail:
     """One full regulation step: the public operations composed in order.
 
-    Both sets may be FeatureBatch rows or example sequences; either gives
-    bit-identical results. An empty source batch or target set is a
-    DomainError.
+    The source batch is linearized once at the model, or used as given when
+    it is already a Linearized of this model, and that one linearization
+    serves the provisional update, the alignment and the real update. The
+    source may also be FeatureBatch rows or examples, the target set rows or
+    examples; all give bit-identical results. An empty source batch or
+    target set is a DomainError.
     """
     alpha = cfg.learning_rate
     initial = init_weights(len(source_batch), cfg.init_policy, rng)
     target_batch = select_target_batch(target_set, cfg, rng)
+    source_batch = linearize(model, source_batch)
     metagrad = weight_meta_gradient(model, source_batch, initial, target_batch, alpha)
     regulated = regulate_weights(initial, metagrad, alpha, cfg.clamp_nonnegative)
     new_model = weighted_training_step(model, source_batch, regulated, alpha)

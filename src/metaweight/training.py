@@ -7,16 +7,17 @@ schedule, no early stopping: a run is `epochs` full passes. Callers supply
 the initial model, which makes it easy to hold the initialization constant
 across methods when comparing them.
 
-Each run featurizes its training sets once into a FeatureBatch and every
-step trains on a row slice of it, which gives bit for bit the numbers of
-featurizing each batch afresh.
+Each run featurizes its training sets once into a FeatureBatch, every step
+trains on a row slice of it and each epoch's target loss is scored on the
+run's target rows, which gives bit for bit the numbers of featurizing each
+batch afresh.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +31,7 @@ from .backbones import (
     batch_weighted_gradient_fast,
     build_embedding,
     featurize,
+    linearize,
 )
 from .errors import ConfigError, DomainError
 from .regulator import RegulatorConfig, mwr_step, target_loss
@@ -78,13 +80,56 @@ class WeightTraceRow:
 
 
 @dataclass(frozen=True, eq=False)
+class WeightTrace:
+    """The per-(step, example) trace of an mwr run as four columns.
+
+    Read row by row it is a sequence of WeightTraceRow (length, indexing,
+    iteration), and it equals another trace with equal columns or a sequence
+    of equal rows.
+    """
+
+    step: np.ndarray
+    example_id: np.ndarray
+    metagrad: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def zeros(cls, n: int = 0) -> WeightTrace:
+        return cls(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(n), np.zeros(n))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.step, self.example_id, self.metagrad, self.weight
+
+    def __len__(self) -> int:
+        return int(self.step.shape[0])
+
+    def __iter__(self):
+        return map(WeightTraceRow, *(column.tolist() for column in self.columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(WeightTrace(*(column[index] for column in self.columns)))
+        return WeightTraceRow(*(column[index].item() for column in self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, WeightTrace):
+            return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
 class TrainReport:
     method: str
     seed: int
     model: ModelState
     initial_params: np.ndarray
     target_loss_trace: tuple[float, ...]
-    weight_trace: tuple[WeightTraceRow, ...] = ()
+    weight_trace: WeightTrace = field(default_factory=WeightTrace.zeros)
 
 
 def merge_datasets(s_train: Sequence[Example], t_fs: Sequence[Example]) -> tuple[Example, ...]:
@@ -123,7 +168,7 @@ def train_backbone_only(spec: TrainSpec, model: ModelState, t_fs: Sequence[Examp
     trace = []
     for _ in range(spec.epochs):
         model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, t_fs))
+        trace.append(target_loss(model.arch, model.params, target))
     return TrainReport("backbone_only", spec.seed, model, initial, tuple(trace))
 
 
@@ -146,7 +191,7 @@ def train_fine_tuning(
     trace = []
     for _ in range(spec.epochs):
         model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, t_fs))
+        trace.append(target_loss(model.arch, model.params, target))
     return TrainReport("fine_tuning", spec.seed, model, initial, tuple(trace))
 
 
@@ -157,12 +202,13 @@ def train_data_merging(
     if len(s_train) == 0 or len(t_fs) == 0:
         raise DomainError("both training sets must be non-empty")
     merged = featurize(model.arch, merge_datasets(s_train, t_fs))
+    target = merged.take(np.arange(len(s_train), len(merged)))
     rng = RngState(derive_seed(spec.seed, "data_merging"))
     initial = model.params
     trace = []
     for _ in range(spec.epochs):
         model = sgd_epoch(model, merged, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, t_fs))
+        trace.append(target_loss(model.arch, model.params, target))
     return TrainReport("data_merging", spec.seed, model, initial, tuple(trace))
 
 
@@ -171,8 +217,10 @@ def train_mwr(
 ) -> TrainReport:
     """Reweighted source training: one regulation step per source batch.
 
-    Weights are re-initialized fresh for every batch; the trace of raw
-    meta-gradients and regulated weights is recorded per (step, example).
+    Weights are re-initialized fresh for every batch; the raw meta-gradients
+    and regulated weights go into a WeightTrace sized for the whole run, one
+    row per (step, example). Each step's source batch is linearized here,
+    once, and mwr_step reuses that forward pass for every source gradient.
     """
     if len(s_train) == 0 or len(t_fs) == 0:
         raise DomainError("both training sets must be non-empty")
@@ -183,22 +231,24 @@ def train_mwr(
     initial = model.params
     source = featurize(model.arch, s_train)
     target = featurize(model.arch, t_fs)
+    n = len(source)
     trace = []
-    rows: list[WeightTraceRow] = []
+    weight_trace = WeightTrace.zeros(spec.epochs * n)
     step = 0
-    for _ in range(spec.epochs):
-        order = rng.permutation(len(source))
-        for start in range(0, len(order), cfg.source_batch_size):
+    for epoch in range(spec.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.source_batch_size):
             picked = order[start : start + cfg.source_batch_size]
-            detail = mwr_step(model, source.take(picked), target, cfg, rng)
+            detail = mwr_step(model, linearize(model, source.take(picked)), target, cfg, rng)
             model = detail.model
-            rows.extend(
-                WeightTraceRow(step, ex_id, float(m), float(w))
-                for ex_id, m, w in zip(picked.tolist(), detail.metagrad, detail.weights)
-            )
+            rows = slice(epoch * n + start, epoch * n + start + len(picked))
+            weight_trace.step[rows] = step
+            weight_trace.example_id[rows] = picked
+            weight_trace.metagrad[rows] = detail.metagrad
+            weight_trace.weight[rows] = detail.weights
             step += 1
-        trace.append(target_loss(model.arch, model.params, t_fs))
-    return TrainReport("mwr", spec.seed, model, initial, tuple(trace), tuple(rows))
+        trace.append(target_loss(model.arch, model.params, target))
+    return TrainReport("mwr", spec.seed, model, initial, tuple(trace), weight_trace)
 
 
 def run_training(
@@ -214,14 +264,16 @@ def run_training(
     return train_mwr(spec, model, s_train, t_fs)
 
 
-def write_weight_trace(rows: Sequence[WeightTraceRow], path) -> None:
+def write_weight_trace(trace: WeightTrace, path) -> None:
     """CSV trace: step, example_id, raw_metagrad, regulated_weight."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,example_id,raw_metagrad,regulated_weight\n")
-        for r in rows:
-            fh.write(f"{r.step},{r.example_id},{r.metagrad!r},{r.weight!r}\n")
+        fh.writelines(
+            f"{step},{example_id},{metagrad!r},{weight!r}\n"
+            for step, example_id, metagrad, weight in zip(*(column.tolist() for column in trace.columns))
+        )
 
 
 def arch_to_dict(arch: BackboneArch) -> dict:

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, per-example gradient
 formulas and loops, per-step training loops over example batches, the dense
-permutation test, the per-example synthetic generator, and tolerance checks."""
+permutation test, the per-example synthetic generator, the per-class target
+draw, the row-by-row weight-trace CSV, and tolerance checks."""
 
 from __future__ import annotations
 
@@ -12,13 +13,14 @@ import metaweight.data
 from metaweight.backbones import (
     BackboneArch,
     Example,
+    FeatureBatch,
     ModelState,
     batch_weighted_gradient_fast,
     build_embedding,
     example_features,
 )
 from metaweight.data import ShiftSpec, gen_synthetic_shift
-from metaweight.regulator import mwr_step
+from metaweight.regulator import TARGET_BATCH_CAP, mwr_step
 from metaweight.stats import PredictionRecord
 from metaweight.training import merge_datasets
 from metaweight.vectors import RngState, derive_seed
@@ -117,9 +119,12 @@ def _oracle_sentence(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, ma
     return tuple(tokens)
 
 
-def oracle_generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int) -> list[Example]:
+def oracle_generate_side(
+    spec: ShiftSpec, rng: RngState, prefix: str, vocab: int, n: int, flipped=None
+) -> list[Example]:
     """One side of the synthetic shift drawn one example at a time, each
-    word taken from the stream in turn."""
+    word taken from the stream in turn; example i stores the inverse of its
+    label where `flipped[i]` is set."""
     pairs = spec.marker_pairs
     examples = []
     for i in range(n):
@@ -131,7 +136,8 @@ def oracle_generate_side(spec: ShiftSpec, rng: RngState, prefix: str, vocab: int
             b_idx = (a_idx + 1 + rng.choice_int(pairs - 1)) % pairs
         a = _oracle_sentence(spec, rng, prefix, vocab, f"qm{a_idx:02d}")
         b = _oracle_sentence(spec, rng, prefix, vocab, f"rm{b_idx:02d}")
-        examples.append(Example(a, b, label))
+        stored = 1 - label if flipped is not None and flipped[i] else label
+        examples.append(Example(a, b, stored))
     return examples
 
 
@@ -139,6 +145,62 @@ def oracle_gen_synthetic_shift(spec: ShiftSpec, rng: RngState):
     """gen_synthetic_shift with each side drawn by oracle_generate_side."""
     with mock.patch.object(metaweight.data, "_generate_side", oracle_generate_side):
         return gen_synthetic_shift(spec, rng)
+
+
+def oracle_shift_by_scan(spec: ShiftSpec, rng: RngState):
+    """The synthetic shift drawn in stream order with no closed-form offset:
+    both sides one example at a time, then each class's members found by a
+    scan, one permutation per class, each flipped example rebuilt, and the
+    two shuffles."""
+    target = oracle_generate_side(spec, rng, spec.target_prefix, spec.target_vocab, spec.n_target)
+    source = oracle_generate_side(spec, rng, spec.source_prefix, spec.source_vocab, spec.n_source)
+    flip_per_class = round(spec.flip_fraction * (spec.n_source // 2))
+    members_by_class = {cls: [i for i, ex in enumerate(source) if ex.label == cls] for cls in (0, 1)}
+    for cls in (0, 1):
+        members = members_by_class[cls]
+        order = rng.permutation(len(members))
+        for j in order[:flip_per_class]:
+            ex = source[members[j]]
+            source[members[j]] = Example(ex.text_a, ex.text_b, 1 - ex.label)
+    source_order = rng.permutation(len(source))
+    target_order = rng.permutation(len(target))
+    return (
+        metaweight.data.Dataset("synthetic-source", 2, tuple(source[i] for i in source_order)),
+        metaweight.data.Dataset("synthetic-target", 2, tuple(target[i] for i in target_order)),
+    )
+
+
+def oracle_select_target_batch(target_set, cfg, rng: RngState):
+    """select_target_batch with one `permutation` per class, the class
+    members found by a scan of the labels on every call."""
+    rows = isinstance(target_set, FeatureBatch)
+    size = cfg.target_batch_size
+    if size is None:
+        size = min(len(target_set), TARGET_BATCH_CAP)
+    if size >= len(target_set):
+        return target_set if rows else tuple(target_set)
+    if rows:
+        labels = target_set.labels
+    else:
+        labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
+    classes = np.unique(labels)
+    base, extra = divmod(size, len(classes))
+    chosen = []
+    for rank, cls in enumerate(classes):
+        members = np.flatnonzero(labels == cls)
+        take = min(base + (1 if rank < extra else 0), len(members))
+        order = rng.permutation(len(members))
+        chosen.append(members[order[:take]])
+    picked = np.sort(np.concatenate(chosen))
+    return target_set.take(picked) if rows else tuple(target_set[i] for i in picked)
+
+
+def oracle_write_weight_trace(rows, path) -> None:
+    """The weight-trace CSV written row object by row object."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,example_id,raw_metagrad,regulated_weight\n")
+        for r in rows:
+            fh.write(f"{r.step},{r.example_id},{r.metagrad!r},{r.weight!r}\n")
 
 
 def small_arch(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_gen_synthetic_shift
+from helpers import oracle_gen_synthetic_shift, oracle_shift_by_scan
 from metaweight import data
 from metaweight.backbones import Example
 from metaweight.data import (
@@ -332,6 +332,34 @@ class TestSyntheticMatchesOracle:
         pairs_per_block = data._BLOCK_WORDS // (3 + 4 * (1 + spec.max_fillers))
         assert spec.n_source // 2 > 2 * pairs_per_block  # the source spans three blocks
         _assert_same_as_oracle(spec, 1, 12345)
+
+
+class TestFlipMatchesScan:
+    """Flipped indices taken at their closed-form offset before the source is
+    built, against the stream-order scan that rebuilds each flipped example."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 20), st.integers(0, 40)),
+        max_fillers=st.integers(1, 6),
+        flip=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        position=st.integers(0, 2**48),
+    )
+    @example(sizes=(300, 5700), max_fillers=4, flip=0.5, seed=1, position=0)
+    def test_equal_datasets_and_cursor(self, sizes, max_fillers, flip, seed, position):
+        spec = ShiftSpec(
+            n_source=2 * (sizes[0] + sizes[1]),
+            n_target=2 * sizes[0],
+            min_fillers=1,
+            max_fillers=max_fillers,
+            flip_fraction=flip,
+        )
+        fast, slow = RngState(seed, position), RngState(seed, position)
+        got, want = gen_synthetic_shift(spec, fast), oracle_shift_by_scan(spec, slow)
+        assert got[0].examples == want[0].examples
+        assert got[1].examples == want[1].examples
+        assert fast.position == slow.position
 
 
 class TestShiftTrainability:

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_relative_error, random_model, small_arch, small_task
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import max_relative_error, oracle_select_target_batch, random_model, small_arch, small_task
 from metaweight.backbones import (
     BackboneArch,
     Example,
     FeatureBatch,
+    Linearized,
     ModelState,
+    alignment_scores,
+    batch_weighted_gradient_fast,
     build_embedding,
     featurize,
+    linearize,
     per_example_gradient,
     per_example_loss,
 )
@@ -351,7 +358,8 @@ class TestMwrStep:
 
 
 class TestFeatureBatchPath:
-    """FeatureBatch rows and example sequences give bit-identical steps."""
+    """A Linearized source batch, FeatureBatch rows and example sequences
+    give bit-identical steps."""
 
     @staticmethod
     def _uneven_targets(n):
@@ -378,15 +386,21 @@ class TestFeatureBatchPath:
         src, tgt = small_task(seed=52, n_source=24, n_target=20)
         arch = small_arch(kind)
         model = random_model(arch, 4)
-        batch, targets = list(src.examples[:9]), list(tgt.examples)
-        cfg = RegulatorConfig(learning_rate=0.3, init_policy=policy, target_batch_size=size)
-        rng_rows, rng_examples = RngState(21), RngState(21)
-        rows = mwr_step(model, featurize(arch, batch), featurize(arch, targets), cfg, rng_rows)
-        examples = mwr_step(model, batch, targets, cfg, rng_examples)
-        assert np.array_equal(rows.model.params, examples.model.params)
-        assert np.array_equal(rows.weights, examples.weights)
-        assert np.array_equal(rows.metagrad, examples.metagrad)
-        assert rng_rows.position == rng_examples.position
+        batch, targets = tuple(src.examples[:9]), tuple(tgt.examples)
+        rows = featurize(arch, batch)
+        for clamp in (True, False):
+            cfg = RegulatorConfig(learning_rate=0.3, init_policy=policy, clamp_nonnegative=clamp, target_batch_size=size)
+            details, cursors = [], []
+            for source, target in ((linearize(model, rows), featurize(arch, targets)), (rows, targets), (batch, targets)):
+                rng = RngState(21)
+                details.append(mwr_step(model, source, target, cfg, rng))
+                cursors.append(rng.position)
+            for detail in details[1:]:
+                assert np.array_equal(detail.model.params, details[0].model.params)
+                assert np.array_equal(detail.weights, details[0].weights)
+                assert np.array_equal(detail.metagrad, details[0].metagrad)
+                assert np.array_equal(detail.initial_weights, details[0].initial_weights)
+            assert len(set(cursors)) == 1
 
     def test_take_is_featurizing_the_rows(self):
         src, _ = small_task(seed=53, n_source=20, n_target=8)
@@ -395,6 +409,99 @@ class TestFeatureBatchPath:
         taken = featurize(arch, src.examples).take(ids)
         assert len(taken) == 4
         assert np.array_equal(taken.scaled, featurize(arch, [src.examples[i] for i in ids]).scaled)
+
+
+class TestLinearizedPath:
+    """A linearization is reused only at the very model it was taken at."""
+
+    def test_same_model_reuses_the_linearization(self, setup):
+        src, _, arch, model = setup
+        lin = linearize(model, featurize(arch, src.examples[:5]))
+        assert linearize(model, lin) is lin
+
+    def test_other_model_with_equal_params_is_recomputed(self, setup):
+        src, tgt, arch, model = setup
+        rows = featurize(arch, src.examples[:6])
+        twin = ModelState(model.params.copy(), arch)
+        true = linearize(model, rows)
+        # stored logit gradients of zero: a gradient read from them is zero
+        stale = Linearized(model, rows.scaled, rows.labels, true.hidden, np.zeros_like(true.dlog))
+        weights = np.linspace(0.5, 1.5, 6)
+        assert not batch_weighted_gradient_fast(model, stale, weights).any()
+        expected = batch_weighted_gradient_fast(model, rows, weights)
+        assert np.array_equal(batch_weighted_gradient_fast(twin, stale, weights), expected)
+        reference = target_gradient(arch, model.params, tgt.examples[:4])
+        assert np.array_equal(alignment_scores(twin, stale, reference), alignment_scores(model, rows, reference))
+        cfg = RegulatorConfig(learning_rate=0.2, init_policy="one")
+        got = mwr_step(twin, stale, tgt.examples[:4], cfg, RngState(2))
+        want = mwr_step(twin, rows, tgt.examples[:4], cfg, RngState(2))
+        assert np.array_equal(got.model.params, want.model.params)
+        assert np.array_equal(got.metagrad, want.metagrad)
+
+
+class TestSelectTargetBatchOracle:
+    """One uniforms call split per class against one permutation per class."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        classes=st.integers(2, 5),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**48),
+    )
+    def test_same_picks_and_cursor(self, data, classes, seed, start):
+        labels = data.draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=80))
+        size = data.draw(st.integers(1, len(labels)))
+        cfg = RegulatorConfig(learning_rate=0.1, target_batch_size=size)
+        targets = tuple(Example((f"t{i}",), ("u",), label) for i, label in enumerate(labels))
+        rows = FeatureBatch(np.arange(len(labels), dtype=np.float64)[:, None], np.array(labels, dtype=np.int64))
+        fast, slow = RngState(seed, start), RngState(seed, start)
+        want = oracle_select_target_batch(targets, cfg, slow)
+        assert select_target_batch(targets, cfg, fast) == want
+        assert fast.position == slow.position
+        fast = RngState(seed, start)
+        picked = select_target_batch(rows, cfg, fast)
+        assert picked.scaled[:, 0].astype(np.int64).tolist() == [int(ex.text_a[0][1:]) for ex in want]
+        assert fast.position == slow.position
+
+
+class TestRegulatorInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(-10, 10), st.floats(-1e3, 1e3)), min_size=1, max_size=30
+        ),
+        alpha=st.floats(1e-4, 10),
+    )
+    def test_clamp_is_the_positive_part_of_the_step(self, values, alpha):
+        weights, metagrad = (np.array(column) for column in zip(*values))
+        free = regulate_weights(weights, metagrad, alpha, clamp=False)
+        clamped = regulate_weights(weights, metagrad, alpha, clamp=True)
+        assert (clamped >= 0.0).all()
+        assert np.array_equal(clamped[free > 0], free[free > 0])
+        assert not clamped[free <= 0].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["logistic", "mlp", "bilinear"]),
+        model_seed=st.integers(0, 2**32),
+        n=st.integers(1, 10),
+        alpha=st.floats(0.01, 1.0),
+        clamp=st.booleans(),
+    )
+    def test_zero_init_step(self, kind, model_seed, n, alpha, clamp):
+        src, tgt = small_task(seed=55, n_source=12, n_target=8)
+        arch = small_arch(kind)
+        model = random_model(arch, model_seed)
+        batch, targets = src.examples[:n], tgt.examples
+        assert virtual_update(model, batch, np.zeros(n), alpha) is model.params
+        cfg = RegulatorConfig(learning_rate=alpha, init_policy="zero", clamp_nonnegative=clamp)
+        detail = mwr_step(model, batch, targets, cfg, RngState(model_seed))
+        metagrad = -alpha * alignment_scores(model, batch, target_gradient(arch, model.params, targets))
+        assert np.array_equal(detail.metagrad, metagrad)
+        assert np.array_equal(detail.weights, regulate_weights(np.zeros(n), metagrad, alpha, clamp))
+        step = batch_weighted_gradient_fast(model, batch, detail.weights)
+        assert np.array_equal(detail.model.params, model.params - alpha * step)
 
 
 class TestRegulatorConfig:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import data_merging_loop, max_relative_error, mwr_loop
+from helpers import data_merging_loop, max_relative_error, mwr_loop, oracle_write_weight_trace
 from metaweight.backbones import BackboneArch, Example, ModelState, build_embedding
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, sample_few_shot
 from metaweight.errors import ConfigError, DomainError
-from metaweight.regulator import RegulatorConfig, weighted_training_step
+from metaweight.regulator import RegulatorConfig, target_loss, weighted_training_step
 from metaweight.stats import accuracy, predict
 from metaweight.training import (
     TrainSpec,
+    WeightTrace,
+    WeightTraceRow,
     load_report,
     merge_datasets,
     run_training,
@@ -295,6 +297,47 @@ class TestFeaturizedRunsMatchExampleLoops:
         spec = TrainSpec(method="data_merging", epochs=2, alpha=0.05, seed=3, batch_size=8)
         report = train_data_merging(spec, model, src.examples, t_fs.examples)
         assert np.array_equal(report.model.params, data_merging_loop(spec, model, src.examples, t_fs.examples).params)
+
+
+class TestColumnarTrace:
+    """The WeightTrace of a run against the tuple of row objects it replaces."""
+
+    def test_weight_trace_is_the_row_tuple(self, tmp_path):
+        _, src, t_fs, _ = _task(flip=0.3, n_source=120, n_target=60)
+        model = _model(kind="bilinear")
+        reg = RegulatorConfig(learning_rate=0.05, init_policy="random", source_batch_size=7, target_batch_size=12)
+        spec = TrainSpec(method="mwr", epochs=2, alpha=0.05, seed=4, batch_size=7, regulator=reg)
+        trace = train_mwr(spec, model, src.examples, t_fs.examples).weight_trace
+        rows = tuple(WeightTraceRow(*row) for row in mwr_loop(spec, model, src.examples, t_fs.examples)[1])
+        assert isinstance(trace, WeightTrace)
+        assert len(trace) == len(rows) == 2 * len(src.examples)
+        assert all(trace[i] == rows[i] for i in range(len(rows)))
+        assert trace[-1] == rows[-1] and trace[3:9] == rows[3:9]
+        assert list(trace) == list(rows)
+        assert trace == rows and rows == trace
+        assert trace == WeightTrace(*(column.copy() for column in trace.columns))
+        changed = WeightTrace(*(column.copy() for column in trace.columns))
+        changed.weight[5] += 1.0
+        assert trace != changed and changed != rows
+        write_weight_trace(trace, tmp_path / "columns.csv")
+        oracle_write_weight_trace(rows, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_other_methods_have_an_empty_trace(self):
+        _, src, t_fs, _ = _task()
+        spec = TrainSpec(method="data_merging", epochs=1, alpha=0.05, seed=1)
+        trace = run_training(spec, _model(), src.examples, t_fs.examples).weight_trace
+        assert len(trace) == 0 and list(trace) == [] and trace == ()
+
+
+class TestTargetLossOnRows:
+    @pytest.mark.parametrize("method", ["backbone_only", "fine_tuning", "data_merging", "mwr"])
+    def test_last_epoch_loss_is_the_examples_loss(self, method):
+        # each loop scores its target rows; the examples path must agree bit for bit
+        _, src, t_fs, _ = _task(n_source=80, n_target=40)
+        spec = TrainSpec(method=method, epochs=2, alpha=0.05, seed=2, batch_size=8)
+        report = run_training(spec, _model(kind="logistic"), src.examples, t_fs.examples)
+        assert report.target_loss_trace[-1] == target_loss(report.model.arch, report.model.params, t_fs.examples)
 
 
 class TestHarness:
