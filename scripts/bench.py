@@ -18,7 +18,9 @@ fresh process, PAIRS times, with the feature memo warmed first as it is in
 the full cell, where mwr runs last; each run records digests of the final
 parameters, the loss trace and the weight trace. Synthetic generation of the
 cell's data is timed in the same process, REPEATS times, with a digest of
-the datasets and the final stream position. With --before-src the same
+the datasets and the final stream position, and so is a cold featurize of
+the cell's source, few-shot and test sets, each through a new embedding
+table, with a sha256 of the scaled rows. With --before-src the same
 process is run for another checkout's src/ (for instance the parent
 commit's), alternating with this one, so the file holds before and after
 numbers from one machine, and whether the medians meet MWR_TARGET_S. Machine
@@ -76,6 +78,33 @@ def time_generation(mw) -> dict:
         seconds.append(time.perf_counter() - start)
     digest = hashlib.sha256(repr((source.examples, target.examples)).encode()).hexdigest()
     return {"seconds": seconds, "median_s": statistics.median(seconds), "position": rng.position, "digest": digest}
+
+
+def time_featurize(mw) -> dict:
+    """Cold featurization of the cell's source, few-shot and test sets, each
+    through a new embedding table, so no token bucket or feature row is cached."""
+    from metaweight.vectors import RngState, derive_seed
+
+    cfg = cell_config(mw)
+    shot = cfg.shots[0]
+    source, pool = mw.data.gen_synthetic_shift(cfg.data_synthetic, RngState(derive_seed(SEED, "data", shot)))
+    t_fs, test = mw.data.sample_few_shot(pool, mw.data.FewShotSpec(k=shot, seed=derive_seed(SEED, "split", shot)))
+    timed = {}
+    for name, ds in (("source", source), ("few_shot", t_fs), ("test", test)):
+        emb = mw.backbones.build_embedding(
+            derive_seed(SEED, "embedding", shot), cfg.backbone.buckets, cfg.backbone.embedding_dim
+        )
+        arch = mw.backbones.BackboneArch(cfg.backbone.kind, emb, source.class_count, cfg.backbone.hidden_dim)
+        start = time.perf_counter()
+        batch = mw.backbones.featurize(arch, ds.examples)
+        seconds = time.perf_counter() - start
+        timed[name] = {
+            "examples": len(ds),
+            "seconds": seconds,
+            "us_per_example": seconds / len(ds) * 1e6,
+            "scaled_sha256": _digest(batch.scaled),
+        }
+    return timed
 
 
 def _digest(*arrays) -> str:
@@ -182,7 +211,7 @@ def time_cell(mw) -> dict:
 
 
 def time_in_process(src: Path) -> dict:
-    """Generation and the headline mwr of the metaweight in `src`, in a fresh process."""
+    """Generation, cold featurization and the headline mwr of the metaweight in `src`, in a fresh process."""
     cmd = [sys.executable, __file__, "--time-src", str(src)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -192,11 +221,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="where to write the JSON record")
     parser.add_argument("--before-src", help="another checkout's src/, timed the same way for comparison")
-    parser.add_argument("--time-src", metavar="SRC", help="time generation and mwr with the metaweight in SRC, print, stop")
+    parser.add_argument(
+        "--time-src", metavar="SRC", help="time generation, featurization and mwr with the metaweight in SRC, print, stop"
+    )
     args = parser.parse_args(argv)
     if args.time_src:
         mw = import_metaweight(Path(args.time_src).resolve())
-        print(json.dumps({"generation": time_generation(mw), "mwr": time_headline_mwr(mw)}))
+        print(json.dumps({"generation": time_generation(mw), "featurize": time_featurize(mw), "mwr": time_headline_mwr(mw)}))
         return 0
     if not args.out:
         parser.error("--out is required unless --time-src is given")
@@ -213,6 +244,15 @@ def main(argv=None) -> int:
         for side, src in sides.items():
             timed[side].append(time_in_process(src))
     record["generation"] = {side: runs[0]["generation"] for side, runs in timed.items()}
+    featurization = {side: [run["featurize"] for run in runs] for side, runs in timed.items()}
+    medians = {
+        f"{side}_median_us_per_example": {
+            name: statistics.median(run[name]["us_per_example"] for run in featurization[side])
+            for name in featurization[side][0]
+        }
+        for side in sides
+    }
+    record["featurize"] = {**featurization, **medians}
     headline = {side: [run["mwr"] for run in runs] for side, runs in timed.items()}
     for side in sides:
         headline[f"{side}_median_s"] = statistics.median(run["train_s"] for run in headline[side])
@@ -222,6 +262,7 @@ def main(argv=None) -> int:
     record["cell_phases"] = time_cell(mw)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record["generation"], indent=2))
+    print(json.dumps(medians, indent=2))
     print(json.dumps(record["headline_mwr"], indent=2))
     print(json.dumps(record["cell_phases"], indent=2))
     return 0

@@ -131,19 +131,24 @@ def build_embedding(seed: int, buckets: int, dim: int) -> EmbeddingTable:
     return EmbeddingTable(buckets=buckets, dim=dim, seed=seed, values=values)
 
 
-def pooled_embedding(tokens: Sequence[str], emb: EmbeddingTable) -> np.ndarray:
-    """Mean embedding of a token sequence; zeros for the empty sequence."""
-    if not tokens:
-        return np.zeros(emb.dim)
-    rows = np.fromiter((emb.bucket(t) for t in tokens), dtype=np.int64, count=len(tokens))
-    return emb.values[rows].mean(axis=0)
-
-
 def featurize_pair(text_a: Sequence[str], text_b: Sequence[str], emb: EmbeddingTable) -> np.ndarray:
-    """[u, v, |u - v|, u * v] for the mean embeddings u, v of the two sides."""
-    u = pooled_embedding(text_a, emb)
-    v = pooled_embedding(text_b, emb)
-    return np.concatenate([u, v, np.abs(u - v), u * v])
+    """[u, v, |u - v|, u * v] for the mean embeddings u, v of the two sides.
+
+    Both sides' rows come from one gather over their bucket ids. Each side is
+    pooled as `.mean(axis=0)` pools it, np.add.reduce over its row slice
+    divided by its length, so u and v are the per-side means bit for bit; an
+    empty side pools to zeros.
+    """
+    tokens = (*text_a, *text_b)
+    cached = emb._bucket_cache.get
+    ids = [cached(t) for t in tokens]
+    if None in ids:
+        ids = [emb.bucket(t) for t in tokens]
+    rows = emb.values[ids]
+    na, nb = len(text_a), len(tokens) - len(text_a)
+    u = np.add.reduce(rows[:na], axis=0) / na if na else np.zeros(emb.dim)
+    v = np.add.reduce(rows[na:], axis=0) / nb if nb else np.zeros(emb.dim)
+    return np.concatenate((u, v, np.abs(u - v), u * v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +389,8 @@ def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
         raise DomainError(f"label {labels.max()} out of range for {arch.class_count} classes")
     if len(examples) == 0:
         return FeatureBatch(np.zeros((0, arch.feature_dim)), labels)
-    scaled = np.stack([example_features(arch, ex) for ex in examples]) * arch.input_scale
+    scaled = np.stack([example_features(arch, ex) for ex in examples])
+    scaled *= arch.input_scale
     return FeatureBatch(scaled, labels)
 
 

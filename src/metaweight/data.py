@@ -72,27 +72,31 @@ def load_tsv(path, max_len: int = 50) -> Dataset:
     """Parse `text_a<TAB>text_b<TAB>label` lines; blank lines are skipped.
 
     The class count is inferred as max label + 1. Malformed rows raise a
-    DataError naming the line.
+    DataError naming the line, and bytes that are not UTF-8 one naming the
+    file.
     """
     path = Path(path)
     examples: list[Example] = []
     max_label = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, found {len(fields)}")
-            try:
-                label = int(fields[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: label {fields[2]!r} is not an integer") from None
-            if label < 0:
-                raise DataError(f"{path}:{lineno}: negative label {label}")
-            examples.append(Example(tokenize(fields[0], max_len), tokenize(fields[1], max_len), label))
-            max_label = max(max_label, label)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, found {len(fields)}")
+                try:
+                    label = int(fields[2])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: label {fields[2]!r} is not an integer") from None
+                if label < 0:
+                    raise DataError(f"{path}:{lineno}: negative label {label}")
+                examples.append(Example(tokenize(fields[0], max_len), tokenize(fields[1], max_len), label))
+                max_label = max(max_label, label)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     return Dataset(name=path.stem, class_count=max_label + 1, examples=tuple(examples))
 
 

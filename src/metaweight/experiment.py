@@ -35,7 +35,7 @@ from .data import (
 from .errors import ConfigError, DataError, DomainError, MetaweightError
 from .regulator import RegulatorConfig
 from .stats import PredictionRecord, accuracy, permutation_test, predict
-from .training import METHODS, TrainSpec, run_training
+from .training import MAX_EPOCHS, METHODS, TrainSpec, run_training
 from .vectors import RngState, derive_seed
 
 
@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"epochs must be between 1 and the cap of {MAX_EPOCHS}, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.reference_method is not None and self.reference_method not in self.methods:
@@ -267,6 +267,8 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     return config_from_dict(raw)
 
 
@@ -503,6 +505,8 @@ def load_results(path) -> ResultsTable:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
     try:
         return table_from_dict(payload)
     except DataError as exc:

@@ -123,9 +123,14 @@ def target_loss(arch, theta_tilde, target_set: FeatureBatch | Sequence[Example])
 
 def target_gradient(arch, theta, target_set: FeatureBatch | Sequence[Example]) -> np.ndarray:
     """Gradient of the summed target loss at theta."""
+    return _probe(ModelState(theta, arch), target_set)
+
+
+def _probe(model: ModelState, target_set: FeatureBatch | Sequence[Example]) -> np.ndarray:
+    """Gradient of the summed target loss at the model's parameters."""
     if len(target_set) == 0:
         raise DomainError("target set must be non-empty")
-    return batch_weighted_gradient_fast(ModelState(theta, arch), target_set, np.ones(len(target_set)))
+    return batch_weighted_gradient_fast(model, target_set, np.ones(len(target_set)))
 
 
 def weight_meta_gradient(
@@ -143,7 +148,10 @@ def weight_meta_gradient(
     target loss.
     """
     theta_tilde = virtual_update(model, batch, weights, alpha)
-    tgrad = target_gradient(model.arch, theta_tilde, target_set)
+    # all-zero weights give model.params itself: probe at the model, whose
+    # parameters are already checked, rather than at a copy of them
+    probe = model if theta_tilde is model.params else ModelState(theta_tilde, model.arch)
+    tgrad = _probe(probe, target_set)
     return -float(alpha) * alignment_scores(model, batch, tgrad)
 
 

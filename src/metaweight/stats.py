@@ -41,7 +41,8 @@ def predict(model: ModelState, examples: Sequence[Example]) -> PredictionRecord:
     class count."""
     arch = model.arch
     rows = [example_features(arch, ex) for ex in examples]
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), arch.feature_dim) * arch.input_scale
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), arch.feature_dim)
+    X *= arch.input_scale
     probs = require_finite(_probs(arch, model.params, X), "forward probabilities")
     true = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=len(examples))
     return PredictionRecord(probs.argmax(axis=1), true)

@@ -38,6 +38,12 @@ from .regulator import RegulatorConfig, mwr_step, target_loss
 from .vectors import RngState, derive_seed
 
 METHODS = ("backbone_only", "fine_tuning", "data_merging", "mwr")
+# Largest epochs a run may ask for. A run is `epochs` full passes, and mwr
+# preallocates its weight trace at epochs x len(source) rows, so both time and
+# trace memory are linear in epochs; the cap is 500x the 20 of the committed
+# configs, and keeps a typo such as 10^20 from failing in that allocation or
+# looping for ever.
+MAX_EPOCHS = 10**4
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ class TrainSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"epochs must be between 1 and the cap of {MAX_EPOCHS}, got {self.epochs}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha}")
         if self.batch_size < 1:

@@ -1,7 +1,8 @@
-"""Shared test utilities: finite-difference oracles, per-example gradient
-formulas and loops, per-step training loops over example batches, the dense
-permutation test, the per-example synthetic generator, the per-class target
-draw, the row-by-row weight-trace CSV, and tolerance checks."""
+"""Shared test utilities: finite-difference oracles, per-side pair pooling,
+per-example gradient formulas and loops, per-step training loops over
+example batches, the dense permutation test, the per-example synthetic
+generator, the per-class target draw, the row-by-row weight-trace CSV, and
+tolerance checks."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ import numpy as np
 import metaweight.data
 from metaweight.backbones import (
     BackboneArch,
+    EmbeddingTable,
     Example,
     FeatureBatch,
     ModelState,
+    _probs,
     batch_weighted_gradient_fast,
     build_embedding,
     example_features,
@@ -48,6 +51,33 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> flo
     if not mask.any():
         return 0.0
     return float((np.abs(a - b)[mask] / scale[mask]).max())
+
+
+def oracle_pooled_embedding(tokens, emb: EmbeddingTable) -> np.ndarray:
+    """Mean embedding of one side, from its own gather and `.mean(axis=0)`;
+    zeros for the empty side."""
+    if not tokens:
+        return np.zeros(emb.dim)
+    rows = np.fromiter((emb.bucket(t) for t in tokens), dtype=np.int64, count=len(tokens))
+    return emb.values[rows].mean(axis=0)
+
+
+def oracle_featurize_pair(text_a, text_b, emb: EmbeddingTable) -> np.ndarray:
+    """[u, v, |u - v|, u * v] with each side pooled on its own."""
+    u = oracle_pooled_embedding(text_a, emb)
+    v = oracle_pooled_embedding(text_b, emb)
+    return np.concatenate([u, v, np.abs(u - v), u * v])
+
+
+def oracle_scaled_rows(arch: BackboneArch, examples) -> np.ndarray:
+    """Input-scaled feature rows of the examples, one oracle pair at a time."""
+    rows = [oracle_featurize_pair(ex.text_a, ex.text_b, arch.embedding) for ex in examples]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), arch.feature_dim) * arch.input_scale
+
+
+def oracle_predictions(model: ModelState, examples) -> np.ndarray:
+    """Argmax class per example from the oracle rows."""
+    return _probs(model.arch, model.params, oracle_scaled_rows(model.arch, examples)).argmax(axis=1)
 
 
 def oracle_gradient(model: ModelState, example: Example) -> np.ndarray:

@@ -9,7 +9,11 @@ from helpers import (
     central_difference_gradient,
     make_example,
     max_relative_error,
+    oracle_featurize_pair,
     oracle_gradient,
+    oracle_pooled_embedding,
+    oracle_predictions,
+    oracle_scaled_rows,
     oracle_weighted_gradient,
     random_model,
     small_arch,
@@ -25,14 +29,15 @@ from metaweight.backbones import (
     batch_weighted_gradient_fast,
     build_embedding,
     example_features,
+    featurize,
     featurize_pair,
     forward,
     per_example_gradient,
     per_example_loss,
-    pooled_embedding,
     stable_token_hash,
 )
 from metaweight.errors import ConfigError, DimensionError, DomainError, NumericalError
+from metaweight.stats import predict
 from metaweight.vectors import RngState, sample_uniform
 
 
@@ -82,7 +87,7 @@ class TestFeaturize:
     def test_empty_side_pools_to_zero(self):
         emb = build_embedding(3, 64, 4)
         feats = featurize_pair((), ("x", "y"), emb)
-        v = pooled_embedding(("x", "y"), emb)
+        v = oracle_pooled_embedding(("x", "y"), emb)
         assert np.array_equal(feats[0:4], np.zeros(4))  # u block
         assert np.array_equal(feats[12:16], np.zeros(4))  # u * v block
         # |u - v| with empty u reduces to |v|, per the featurize definition
@@ -100,6 +105,51 @@ class TestFeaturize:
         v = sum(emb.values[emb.bucket(t)] for t in b) / 3.0
         oracle = np.concatenate([u, v, np.abs(u - v), u * v])
         assert max_relative_error(feats, oracle, floor=0.0) <= 1e-12
+
+
+# Tokens for the pair-feature property: a small pool so that sides repeat
+# tokens, and fresh ones, which no table has bucketed before.
+_POOL_TOKENS = [f"w{i}" for i in range(12)]
+_pair_side = st.lists(st.sampled_from(_POOL_TOKENS) | st.text(min_size=1, max_size=6), max_size=60)
+
+
+class TestFeaturizeMatchesOracle:
+    """featurize_pair gathers both sides at once and pools each with
+    np.add.reduce / count; the oracle pools each side on its own with
+    `.mean(axis=0)`. The bytes must agree, and so must the batched rows and
+    predictions built on them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3, 8, 32]),
+        buckets=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        pairs=st.lists(st.tuples(_pair_side, _pair_side), min_size=1, max_size=6),
+        warm=st.sets(st.sampled_from(_POOL_TOKENS)),
+    )
+    def test_same_bytes_as_per_side_mean(self, dim, buckets, seed, pairs, warm):
+        emb = build_embedding(seed, buckets, dim)
+        for token in sorted(warm):  # some tokens already bucketed, the rest not
+            emb.bucket(token)
+        for a, b in pairs:
+            got = featurize_pair(a, b, emb)
+            want = oracle_featurize_pair(a, b, emb)
+            assert got.shape == (4 * dim,)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(BACKBONE_KINDS),
+        dim=st.sampled_from([1, 2, 3, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        pairs=st.lists(st.tuples(_pair_side, _pair_side, st.integers(0, 2)), min_size=1, max_size=8),
+    )
+    def test_featurize_and_predict_match_oracle_rows(self, kind, dim, seed, pairs):
+        arch = BackboneArch(kind, build_embedding(seed, 64, dim), class_count=3, hidden_dim=4)
+        examples = [Example(a, b, label) for a, b, label in pairs]
+        assert featurize(arch, examples).scaled.tobytes() == oracle_scaled_rows(arch, examples).tobytes()
+        model = random_model(arch, seed % 1000)
+        assert np.array_equal(predict(model, examples).predicted, oracle_predictions(model, examples))
 
 
 class TestForward:

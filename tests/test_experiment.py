@@ -22,6 +22,7 @@ from metaweight.experiment import (
     table_from_dict,
     table_to_dict,
 )
+from metaweight.training import MAX_EPOCHS
 
 
 def _tiny_config(**overrides) -> dict:
@@ -119,6 +120,13 @@ class TestConfigParsing:
     def test_wrong_types_are_config_errors(self, override, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(_tiny_config(**override))
+
+    def test_epochs_cap(self):
+        cfg = config_from_dict(_tiny_config(epochs=MAX_EPOCHS, methods=["mwr"]))
+        assert cfg.epochs == MAX_EPOCHS
+        for epochs in (MAX_EPOCHS + 1, 10**20):
+            with pytest.raises(ConfigError, match=f"cap of {MAX_EPOCHS}, got {epochs}"):
+                config_from_dict(_tiny_config(epochs=epochs, methods=["mwr"]))
 
     def test_n_permutations_cap(self):
         cfg = config_from_dict(_tiny_config(n_permutations=MAX_PERMUTATIONS))
@@ -405,6 +413,28 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(_tiny_config(surprise=1)))
         assert main(["experiment", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["prep", "train", "experiment", "report"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1"
+        bad.write_bytes("a b\tc d\t0\n".encode("utf-8") + b"caf\xe9\tx\t1\n")
+        args = {
+            "prep": ["prep", "--input", str(bad), "--out", str(tmp_path / "o.tsv")],
+            "train": ["train", "--method", "backbone_only", "--target-fs", str(bad)],
+            "experiment": ["experiment", "--config", str(bad)],
+            "report": ["report", "--results", str(bad), "--out-dir", str(tmp_path / "out")],
+        }[command]
+        err_kind, code = ("config error: ", 1) if command == "experiment" else ("data error: ", 2)
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith(err_kind) and f"{bad}: not valid UTF-8 text" in err
+
+    def test_epochs_above_cap_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "t.tsv"
+        data.write_text("a b\tc d\t0\ne f\tg h\t1\n", encoding="utf-8")
+        args = ["train", "--method", "mwr", "--target-fs", str(data), "--source", str(data), "--epochs", str(10**20)]
+        assert main(args) == 1
+        assert f"cap of {MAX_EPOCHS}" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["prep", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o.tsv")]) == 2

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metaweight.regulator
 from helpers import max_relative_error, oracle_select_target_batch, random_model, small_arch, small_task
 from metaweight.backbones import (
     BackboneArch,
@@ -502,6 +504,27 @@ class TestRegulatorInvariants:
         assert np.array_equal(detail.weights, regulate_weights(np.zeros(n), metagrad, alpha, clamp))
         step = batch_weighted_gradient_fast(model, batch, detail.weights)
         assert np.array_equal(detail.model.params, model.params - alpha * step)
+
+    @pytest.mark.parametrize("policy", ["zero", "one"])
+    def test_probe_model(self, policy):
+        """Zero weights probe at the model itself, others at a new state at theta~."""
+        src, tgt = small_task(seed=56, n_source=8, n_target=6)
+        model = random_model(small_arch("mlp"), 4)
+        weights = init_weights(len(src), policy, RngState(0))
+        probes = []
+
+        def spy(probe, examples, w):
+            if examples is tgt.examples:
+                probes.append(probe)
+            return batch_weighted_gradient_fast(probe, examples, w)
+
+        with mock.patch.object(metaweight.regulator, "batch_weighted_gradient_fast", spy):
+            metagrad = weight_meta_gradient(model, src.examples, weights, tgt.examples, 0.3)
+        theta_tilde = virtual_update(model, src.examples, weights, 0.3)
+        assert len(probes) == 1 and (probes[0] is model) == (policy == "zero")
+        assert np.array_equal(probes[0].params, theta_tilde)
+        tgrad = target_gradient(model.arch, theta_tilde, tgt.examples)
+        assert np.array_equal(metagrad, -0.3 * alignment_scores(model, src.examples, tgrad))
 
 
 class TestRegulatorConfig:

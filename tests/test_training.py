@@ -8,6 +8,7 @@ from metaweight.errors import ConfigError, DomainError
 from metaweight.regulator import RegulatorConfig, target_loss, weighted_training_step
 from metaweight.stats import accuracy, predict
 from metaweight.training import (
+    MAX_EPOCHS,
     TrainSpec,
     WeightTrace,
     WeightTraceRow,
@@ -85,6 +86,13 @@ class TestTrainSpec:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             TrainSpec(method="distill")
+
+    @pytest.mark.parametrize("method", ["backbone_only", "mwr"])
+    def test_epochs_cap(self, method):
+        assert TrainSpec(method=method, epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+        for epochs in (MAX_EPOCHS + 1, 10**20):
+            with pytest.raises(ConfigError, match=f"cap of {MAX_EPOCHS}, got {epochs}"):
+                TrainSpec(method=method, epochs=epochs)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
     def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
