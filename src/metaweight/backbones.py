@@ -67,6 +67,9 @@ BACKBONE_KINDS = ("logistic", "mlp", "bilinear")
 # Largest embedding table, in buckets * dim float64 entries (128 MiB); a
 # larger request is a configuration error rather than an allocation failure.
 MAX_EMBEDDING_ENTRIES = 1 << 24
+# Largest trainable parameter vector, in float64 entries (128 MiB), under
+# the same rule: an oversized hidden_dim or bilinear dim is refused up front.
+MAX_PARAM_COUNT = 1 << 24
 
 TokenSeq = tuple[str, ...]
 
@@ -167,6 +170,10 @@ class BackboneArch:
             raise DomainError("class_count must be >= 2")
         if self.hidden_dim < 1:
             raise DomainError("hidden_dim must be >= 1")
+        if self.param_count > MAX_PARAM_COUNT:
+            raise ConfigError(
+                f"{self.kind} backbone has {self.param_count} parameters, above the cap of {MAX_PARAM_COUNT}"
+            )
 
     @property
     def feature_dim(self) -> int:

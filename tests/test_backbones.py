@@ -21,6 +21,7 @@ from helpers import (
 )
 from metaweight.backbones import (
     BACKBONE_KINDS,
+    MAX_PARAM_COUNT,
     BackboneArch,
     Example,
     ModelState,
@@ -76,6 +77,22 @@ class TestEmbedding:
             build_embedding(1, 0, 4)
         with pytest.raises(DomainError):
             build_embedding(1, 4, 0)
+
+
+class TestParamCap:
+    def test_oversized_backbones_refused_before_allocation(self):
+        tiny = build_embedding(1, 1, 1)
+        wide = build_embedding(1, 1, 4096)  # bilinear: 2 * 4096^2 + 2 parameters
+        for kind, emb, hidden in (("mlp", tiny, 10**15), ("bilinear", wide, 32)):
+            with pytest.raises(ConfigError, match=f"cap of {MAX_PARAM_COUNT}"):
+                BackboneArch(kind, emb, 2, hidden)
+
+    def test_cap_is_inclusive(self):
+        # mlp with feature dim 4 and 2 classes: 7 * hidden + 2 parameters.
+        hidden = (MAX_PARAM_COUNT - 2) // 7
+        assert BackboneArch("mlp", build_embedding(1, 1, 1), 2, hidden).param_count <= MAX_PARAM_COUNT
+        with pytest.raises(ConfigError):
+            BackboneArch("mlp", build_embedding(1, 1, 1), 2, hidden + 1)
 
 
 class TestFeaturize:

@@ -167,6 +167,7 @@ class TestExitCodes:
     @example(argv=["report", "--results", "not_utf8", "--out-dir", "out/results"])
     @example(argv=["train", "--method", "mwr", "--target-fs", "data.tsv", "--source", "data.tsv", "--epochs", str(10**20)])
     @example(argv=["experiment", "--config", {"epochs": 10**20, "methods": ["mwr"]}, "--out-dir", "out/results"])
+    @example(argv=["train", "--method", "backbone_only", "--backbone", "mlp", "--target-fs", "data.tsv", "--source", "data.tsv", "--hidden-dim", str(10**15)])
     def test_every_run_ends_in_a_documented_exit_code(self, files, argv):
         if argv[0] == "experiment" and isinstance(argv[2], dict):
             (files / "drawn.json").write_text(json.dumps(dict(_CONFIG, **argv[2])), encoding="utf-8")
