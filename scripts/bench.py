@@ -20,7 +20,11 @@ parameters, the loss trace and the weight trace. Synthetic generation of the
 cell's data is timed in the same process, REPEATS times, with a digest of
 the datasets and the final stream position, and so is a cold featurize of
 the cell's source, few-shot and test sets, each through a new embedding
-table, with a sha256 of the scaled rows. With --before-src the same
+table, with a sha256 of the scaled rows, and so are the cell's three
+permutation tests, REPEATS times, on seeded prediction records of its test
+size at its accuracies (reference mwr 0.996 against 0.99, 0.988 and 0.5),
+with their p-values and final stream positions. Every fresh-process timing
+records process CPU time next to wall time. With --before-src the same
 process is run for another checkout's src/ (for instance the parent
 commit's), alternating with this one, so the file holds before and after
 numbers from one machine, and whether the medians meet MWR_TARGET_S. Machine
@@ -46,6 +50,9 @@ SEED = 1
 REPEATS = 3
 PAIRS = 2
 MWR_TARGET_S = 15.0
+# the frozen cell's test size and its accuracies per method (BENCH_14.json)
+TEST_SIZE = 500
+ACCURACIES = {"backbone_only": 0.99, "fine_tuning": 0.988, "data_merging": 0.5, "mwr": 0.996}
 
 
 def import_metaweight(src: Path):
@@ -60,6 +67,16 @@ def import_metaweight(src: Path):
     return metaweight
 
 
+def start_clocks() -> tuple[float, float]:
+    return time.perf_counter(), time.process_time()
+
+
+def elapsed(start: tuple[float, float]) -> tuple[float, float]:
+    """Wall and process CPU seconds since `start_clocks()`."""
+    wall, cpu = start_clocks()
+    return wall - start[0], cpu - start[1]
+
+
 def cell_config(mw, **overrides):
     raw = json.loads(CONFIG.read_text(encoding="utf-8"))
     return mw.experiment.config_from_dict(dict(raw, seeds=[SEED], **overrides))
@@ -70,14 +87,48 @@ def time_generation(mw) -> dict:
     from metaweight.vectors import RngState, derive_seed
 
     cfg = cell_config(mw)
-    seconds = []
+    clocks = []
     for _ in range(REPEATS):
         rng = RngState(derive_seed(SEED, "data", cfg.shots[0]))
-        start = time.perf_counter()
+        start = start_clocks()
         source, target = mw.data.gen_synthetic_shift(cfg.data_synthetic, rng)
-        seconds.append(time.perf_counter() - start)
+        clocks.append(elapsed(start))
     digest = hashlib.sha256(repr((source.examples, target.examples)).encode()).hexdigest()
-    return {"seconds": seconds, "median_s": statistics.median(seconds), "position": rng.position, "digest": digest}
+    return {**_clock_record(clocks), "position": rng.position, "digest": digest}
+
+
+def _clock_record(clocks) -> dict:
+    seconds, cpu_seconds = (list(column) for column in zip(*clocks))
+    return {
+        "seconds": seconds,
+        "cpu_seconds": cpu_seconds,
+        "median_s": statistics.median(seconds),
+        "median_cpu_s": statistics.median(cpu_seconds),
+    }
+
+
+def time_permutation(mw) -> dict:
+    """The cell's three permutation tests against mwr, REPEATS times, on
+    prediction records drawn by numpy's own generator, so both sides test
+    the same records."""
+    from metaweight.vectors import RngState, derive_seed
+
+    cfg = cell_config(mw)
+    gen = np.random.default_rng(SEED)
+    true = gen.integers(0, 2, TEST_SIZE)
+    records = {}
+    for method, acc in ACCURACIES.items():
+        right = np.zeros(TEST_SIZE, dtype=bool)
+        right[gen.permutation(TEST_SIZE)[: round(acc * TEST_SIZE)]] = True
+        records[method] = mw.stats.PredictionRecord(np.where(right, true, 1 - true), true)
+    clocks, tests = [], {}
+    for _ in range(REPEATS):
+        rngs = {m: RngState(derive_seed(SEED, "perm", cfg.shots[0], m)) for m in ACCURACIES if m != "mwr"}
+        start = start_clocks()
+        p_values = {m: mw.stats.permutation_test(records[m], records["mwr"], cfg.n_permutations, rng) for m, rng in rngs.items()}
+        clocks.append(elapsed(start))
+        tests = {m: {"p_value": p_values[m], "position": rng.position} for m, rng in rngs.items()}
+    return {**_clock_record(clocks), "n_permutations": cfg.n_permutations, "tests": tests}
 
 
 def time_featurize(mw) -> dict:
@@ -95,12 +146,13 @@ def time_featurize(mw) -> dict:
             derive_seed(SEED, "embedding", shot), cfg.backbone.buckets, cfg.backbone.embedding_dim
         )
         arch = mw.backbones.BackboneArch(cfg.backbone.kind, emb, source.class_count, cfg.backbone.hidden_dim)
-        start = time.perf_counter()
+        start = start_clocks()
         batch = mw.backbones.featurize(arch, ds.examples)
-        seconds = time.perf_counter() - start
+        seconds, cpu_s = elapsed(start)
         timed[name] = {
             "examples": len(ds),
             "seconds": seconds,
+            "cpu_s": cpu_s,
             "us_per_example": seconds / len(ds) * 1e6,
             "scaled_sha256": _digest(batch.scaled),
         }
@@ -120,9 +172,9 @@ def time_headline_mwr(mw) -> dict:
     def timed(spec, model, s_train, t_fs):
         mw.backbones.featurize(model.arch, s_train)
         mw.backbones.featurize(model.arch, t_fs)
-        start = time.perf_counter()
+        start = start_clocks()
         report = original(spec, model, s_train, t_fs)
-        runs.append((time.perf_counter() - start, report))
+        runs.append((*elapsed(start), report))
         return report
 
     cfg = cell_config(mw, methods=["mwr"])
@@ -131,12 +183,13 @@ def time_headline_mwr(mw) -> dict:
         exp.run_experiment(cfg)
     finally:
         exp.run_training = original
-    (seconds, report), = runs
+    (seconds, cpu_s, report), = runs
     # row iteration reads a tuple of rows (older checkouts) and a WeightTrace alike
     rows = [(row.step, row.example_id, row.metagrad, row.weight) for row in report.weight_trace]
     columns = [np.array(column) for column in zip(*rows)]
     return {
         "train_s": seconds,
+        "train_cpu_s": cpu_s,
         "params_digest": _digest(report.model.params),
         "loss_trace_digest": _digest(np.array(report.target_loss_trace)),
         "weight_trace_digest": _digest(*columns),
@@ -211,7 +264,8 @@ def time_cell(mw) -> dict:
 
 
 def time_in_process(src: Path) -> dict:
-    """Generation, cold featurization and the headline mwr of the metaweight in `src`, in a fresh process."""
+    """Generation, cold featurization, the headline mwr and the permutation
+    tests of the metaweight in `src`, in a fresh process."""
     cmd = [sys.executable, __file__, "--time-src", str(src)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -222,12 +276,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="where to write the JSON record")
     parser.add_argument("--before-src", help="another checkout's src/, timed the same way for comparison")
     parser.add_argument(
-        "--time-src", metavar="SRC", help="time generation, featurization and mwr with the metaweight in SRC, print, stop"
+        "--time-src",
+        metavar="SRC",
+        help="time generation, featurization, mwr and the permutation tests with the metaweight in SRC, print, stop",
     )
     args = parser.parse_args(argv)
     if args.time_src:
         mw = import_metaweight(Path(args.time_src).resolve())
-        print(json.dumps({"generation": time_generation(mw), "featurize": time_featurize(mw), "mwr": time_headline_mwr(mw)}))
+        timed = {"generation": time_generation(mw), "featurize": time_featurize(mw), "mwr": time_headline_mwr(mw)}
+        print(json.dumps({**timed, "permutation": time_permutation(mw)}))
         return 0
     if not args.out:
         parser.error("--out is required unless --time-src is given")
@@ -256,14 +313,24 @@ def main(argv=None) -> int:
     headline = {side: [run["mwr"] for run in runs] for side, runs in timed.items()}
     for side in sides:
         headline[f"{side}_median_s"] = statistics.median(run["train_s"] for run in headline[side])
+        headline[f"{side}_median_cpu_s"] = statistics.median(run["train_cpu_s"] for run in headline[side])
     headline["target_s"] = MWR_TARGET_S
     headline["target_met"] = headline["after_median_s"] <= MWR_TARGET_S
     record["headline_mwr"] = headline
+    permutation = {side: [run["permutation"] for run in runs] for side, runs in timed.items()}
+    for side in sides:
+        runs = permutation[side]
+        permutation[f"{side}_median_s"] = statistics.median(t for run in runs for t in run["seconds"])
+        permutation[f"{side}_median_cpu_s"] = statistics.median(t for run in runs for t in run["cpu_seconds"])
+    outcomes = {json.dumps(run["permutation"]["tests"], sort_keys=True) for runs in timed.values() for run in runs}
+    permutation["outcomes_identical"] = len(outcomes) == 1
+    record["permutation"] = permutation
     record["cell_phases"] = time_cell(mw)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record["generation"], indent=2))
     print(json.dumps(medians, indent=2))
     print(json.dumps(record["headline_mwr"], indent=2))
+    print(json.dumps({k: v for k, v in permutation.items() if k not in sides}, indent=2))
     print(json.dumps(record["cell_phases"], indent=2))
     return 0
 

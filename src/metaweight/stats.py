@@ -9,7 +9,7 @@ import numpy as np
 
 from .backbones import Example, ModelState, _probs, example_features
 from .errors import DimensionError, DomainError
-from .vectors import RngState, require_finite
+from .vectors import RngState, _mix_rounds, counter_step, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +56,8 @@ def accuracy(record: PredictionRecord) -> float:
 
 
 # Words computed per block of the permutation test: small enough that the
-# block and its temporaries stay in cache, large enough to amortize numpy calls.
+# block and its one scratch buffer (256 KiB each) stay in cache, large enough
+# to amortize numpy calls.
 _BLOCK_WORDS = 1 << 15
 
 
@@ -71,13 +72,20 @@ def permutation_test(
     so it is never zero and equals 1.0 when the predictions agree everywhere.
 
     Permutation t flips example j when uniform number t * n + j of `rng` is
-    below one half, that is when the top bit of that word is clear. With
-    diff_j = correct_a_j - correct_b_j, the permuted sum is
-    S_t = 2 * sum_j bit_tj diff_j - sum_j diff_j, and only the m examples with
-    diff_j != 0 contribute, so only their n_perm x m words are computed, in
-    blocks of about _BLOCK_WORDS, straight from the counter. Every S_t is a
-    sum of +-1 terms and exact in float64, so the p-value equals that of
-    drawing all n_perm x n uniforms; the cursor advances past them all.
+    below one half, that is when bit 63 of that word is clear. Only the m
+    examples where exactly one method is right contribute. If P of them
+    favour a and Q favour b, the observed difference sum is D = P - Q; if
+    k_P and k_Q of them keep their sign in permutation t, its sum is
+    S_t = 2 * (k_P - k_Q) - D, and it counts when |S_t| >= |D|. These are
+    integer counts, compared exactly, so the p-value equals that of drawing
+    all n_perm x n uniforms; the cursor advances past them all.
+
+    Only the n_perm x m words the test reads are computed, in blocks of about
+    _BLOCK_WORDS, straight from the counter: each column's counter and the
+    row step n * GAMMA are folded once, two buffers are allocated once, and
+    per block the counters go into the first, mix64's two rounds run in place
+    with the second as scratch, and bit 63 is read without the final
+    xor-shift, which cannot change it.
     """
     if n_perm < 1:
         raise DomainError("n_perm must be >= 1")
@@ -85,24 +93,26 @@ def permutation_test(
         raise DomainError("permutation test needs two prediction records over the same examples")
     if len(preds_a) == 0:
         raise DomainError("cannot test empty prediction records")
-    diff = (preds_a.predicted == preds_a.true).astype(np.float64) - (
-        preds_b.predicted == preds_b.true
-    )
-    n = diff.shape[0]
-    observed = abs(float(diff.mean()))
-    cols = np.flatnonzero(diff).astype(np.uint64)
-    vals = diff[cols]
-    total = vals.sum()
-    if cols.size == 0:
+    right_a = preds_a.predicted == preds_a.true
+    right_b = preds_b.predicted == preds_b.true
+    favour_a, favour_b = np.flatnonzero(right_a & ~right_b), np.flatnonzero(right_b & ~right_a)
+    n, p, m = len(preds_a), favour_a.size, favour_a.size + favour_b.size
+    total = p - favour_b.size  # D: the observed difference sum
+    if m == 0:
         exceed = n_perm  # every permuted sum is 0, and so is the observed one
     else:
+        start = rng.counters_at(np.concatenate([favour_a, favour_b]))
+        row_step = counter_step(n)
+        rows = max(1, _BLOCK_WORDS // m)
+        block, scratch = np.empty((rows, m), dtype=np.uint64), np.empty((rows, m), dtype=np.uint64)
         exceed = 0
-        rows = max(1, _BLOCK_WORDS // cols.size)
-        for start in range(0, n_perm, rows):
-            perms = np.arange(start, min(start + rows, n_perm), dtype=np.uint64)
-            words = rng.words_at(perms[:, None] * np.uint64(n) + cols)
-            bits = (words >> np.uint64(63)).astype(np.float64)
-            stats = np.abs(2.0 * (bits @ vals) - total) / n
-            exceed += int((stats >= observed).sum())
+        for t in range(0, n_perm, rows):
+            r = min(rows, n_perm - t)
+            z, tmp = block[:r], scratch[:r]
+            np.add((np.arange(t, t + r, dtype=np.uint64) * row_step)[:, None], start, out=z)
+            _mix_rounds(z, tmp)
+            np.right_shift(z, np.uint64(63), out=tmp)
+            kept = tmp[:, :p].sum(axis=1).view(np.int64) - tmp[:, p:].sum(axis=1).view(np.int64)
+            exceed += int(np.count_nonzero(np.abs(2 * kept - total) >= abs(total)))
     rng.position += n_perm * n
     return (1 + exceed) / (1 + n_perm)

@@ -7,11 +7,13 @@ NumericalError instead of propagating silently.
 
 Randomness comes from SplitMix64, a counter-based generator: draw number i
 of the stream with seed s is mix64(s + (i + 1) * GAMMA), where mix64 is a
-fixed 64-bit avalanche function. A stream is a pure function of
-(seed, position) built from wrapping unsigned arithmetic, so every platform
-and numpy version reproduces it bit for bit. Each RngState must stay
-confined to a single consumer; sharing one across concurrent users breaks
-reproducibility.
+fixed 64-bit avalanche function: two xor-shift-multiply rounds, then
+z ^ (z >> 31). The array mixer runs them in place over the counters with
+one scratch array, so a call to `words_at` allocates two arrays in all. A
+stream is a pure function of (seed, position) built from wrapping unsigned
+arithmetic, so every platform and numpy version reproduces it bit for bit.
+Each RngState must stay confined to a single consumer; sharing one across
+concurrent users breaks reproducibility.
 
 Because word i is a pure function of i, a consumer that uses only some of
 the next words can compute just those: `RngState.words_at(k)` returns the
@@ -20,7 +22,9 @@ are `words_at(0..n-1)` followed by a cursor advance of n. A uniform is the
 top 53 bits of its word scaled to [0, 1), so `u < 0.5` holds exactly when
 the word's top bit is clear; the permutation test in `stats.py` reads only
 that bit, for the words a draw of n_perm x n uniforms would place at
-t * n + j, and only for the columns j it needs.
+t * n + j, and only for the columns j it needs. z >> 31 has bit 63 clear,
+so the final xor-shift cannot change bit 63, and the test reads it after
+the two rounds (`_mix_rounds`, into its own preallocated buffers).
 """
 
 from __future__ import annotations
@@ -41,10 +45,30 @@ _U_GAMMA, _U_MIX_A, _U_MIX_B = np.uint64(_GAMMA), np.uint64(_MIX_A), np.uint64(_
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
+def _mix_rounds(z: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64's two xor-shift-multiply rounds on the uint64 array z, in place,
+    with `scratch` (same shape) for the shifted copies. What is left of mix64
+    is z ^ (z >> 31), which cannot change bit 63."""
+    np.right_shift(z, _U30, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+    np.multiply(z, _U_MIX_A, out=z)
+    np.right_shift(z, _U27, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+    np.multiply(z, _U_MIX_B, out=z)
+
+
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _U_MIX_A
-    z = (z ^ (z >> _U27)) * _U_MIX_B
-    return z ^ (z >> _U31)
+    """mix64 of every element of the uint64 array z, written over z."""
+    scratch = np.empty_like(z)
+    _mix_rounds(z, scratch)
+    np.right_shift(z, _U31, out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+    return z
+
+
+def counter_step(k: int) -> np.uint64:
+    """k * GAMMA mod 2^64: how far apart the counters of words k draws apart are."""
+    return np.uint64((k * _GAMMA) & _MASK)
 
 
 def _mix_int(z: int) -> int:
@@ -76,12 +100,19 @@ class RngState:
     seed: int
     position: int = 0
 
+    def counters_at(self, offsets: np.ndarray) -> np.ndarray:
+        """The SplitMix64 counters, before mixing, of the words at `offsets`
+        past the cursor: seed + (position + k + 1) * GAMMA mod 2^64, as a new array."""
+        # the base is folded in Python ints: numpy scalar uint64 products warn on wrap
+        base = np.uint64((self.seed + (self.position + 1) * _GAMMA) & _MASK)
+        counters = np.asarray(offsets, dtype=np.uint64) * _U_GAMMA
+        counters += base
+        return counters
+
     def words_at(self, offsets: np.ndarray) -> np.ndarray:
         """The uint64 words at `offsets` past the cursor, which does not move:
         word k is the one the (k+1)-th of the next sequential draws uses."""
-        # the base is folded in Python ints: numpy scalar uint64 products warn on wrap
-        base = np.uint64((self.seed + (self.position + 1) * _GAMMA) & _MASK)
-        return _mix_array(base + np.asarray(offsets, dtype=np.uint64) * _U_GAMMA)
+        return _mix_array(self.counters_at(offsets))
 
     def _words(self, n: int) -> np.ndarray:
         words = self.words_at(np.arange(n, dtype=np.uint64))

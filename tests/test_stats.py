@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_example, oracle_permutation_test, random_model, small_arch, small_task
+from metaweight import stats
 from metaweight.backbones import BACKBONE_KINDS, ModelState, example_features, forward
 from metaweight.errors import DimensionError, DomainError
 from metaweight.stats import PredictionRecord, accuracy, permutation_test, predict
@@ -162,3 +165,44 @@ class TestPermutationTest:
         fast, dense = RngState(seed, position), RngState(seed, position)
         assert permutation_test(a, b, n_perm, fast) == oracle_permutation_test(a, b, n_perm, dense)
         assert fast.position == dense.position == position + n_perm * n
+
+    def test_cancelling_differences_give_one(self):
+        """m > 0 examples differ but their sum is 0: every permuted sum
+        reaches |0|, so p = 1 and the cursor still moves past n_perm x n."""
+        true = np.zeros(10, dtype=np.int64)
+        a = _record([0, 0, 0, 0, 1, 1, 1, 1, 0, 1], true)
+        b = _record([1, 1, 1, 1, 0, 0, 0, 0, 0, 1], true)
+        rng = RngState(4, 9)
+        assert permutation_test(a, b, 777, rng) == 1.0
+        assert rng.position == 9 + 777 * 10
+
+    @pytest.mark.parametrize(
+        "n, m, block_words, n_perm",
+        [
+            (40, 7, 3, 13),  # m > _BLOCK_WORDS: one permutation per block
+            (40, 7, 7, 13),  # one permutation per block, exactly filled
+            (40, 7, 21, 13),  # three per block, the last one ragged
+            (40, 1, 4, 11),  # m = 1, four per block, ragged
+            (40, 40, 120, 10),  # m = n, three per block, ragged
+            (40, 40, 16, 5),  # m = n > _BLOCK_WORDS
+        ],
+    )
+    def test_small_blocks_match_dense_oracle(self, n, m, block_words, n_perm):
+        """With the block shrunk, the block edges fall between permutations
+        that the default block holds together; the p-value and cursor still
+        equal the dense draw's."""
+        gen = np.random.default_rng(n * m + block_words)
+        true = gen.integers(0, 3, n)
+        wrong = (true + 1) % 3
+        differ = np.zeros(n, dtype=bool)
+        differ[gen.choice(n, m, replace=False)] = True
+        a_right = gen.random(n) < 0.6
+        pa = np.where(differ & ~a_right, wrong, true)
+        pb = np.where(differ & a_right, wrong, true)
+        a, b = _record(pa, true), _record(pb, true)
+        for seed, position in ((2**64 - 3, 0), (17, 2**40 + 5)):
+            fast, dense = RngState(seed, position), RngState(seed, position)
+            with mock.patch.object(stats, "_BLOCK_WORDS", block_words):
+                p = permutation_test(a, b, n_perm, fast)
+            assert p == oracle_permutation_test(a, b, n_perm, dense)
+            assert fast.position == dense.position == position + n_perm * n

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metaweight.errors import DimensionError, DomainError, NumericalError
 from metaweight.vectors import (
     RngState,
+    _mix_array,
+    _mix_rounds,
     derive_seed,
     dot,
     sample_uniform,
@@ -14,16 +16,17 @@ from metaweight.vectors import (
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
+def _mix64(z: int) -> int:
+    # independent scalar implementation of SplitMix64's mixer
+    mask = 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def _splitmix_words(seed: int, position: int, n: int) -> list[int]:
     # independent scalar implementation of the same counter-based stream
-    mask = 0xFFFFFFFFFFFFFFFF
-    out = []
-    for i in range(position + 1, position + n + 1):
-        z = (seed + i * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
+    return [_mix64((seed + i * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) for i in range(position + 1, position + n + 1)]
 
 
 def _splitmix_reference(seed: int, n: int) -> list[float]:
@@ -107,6 +110,20 @@ class TestRng:
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(RngState(1).uniforms(10), RngState(2).uniforms(10))
+
+
+class TestMixer:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example([0, 2**64 - 1, 2**63, 2**63 - 1])
+    def test_in_place_rounds_fix_bit_63(self, values):
+        """`_mix_array` is mix64 element-wise, and bit 63 after the two
+        in-place rounds alone (all the permutation test reads) is already
+        bit 63 of mix64."""
+        z = np.array(values, dtype=np.uint64)
+        words = _mix_array(z.copy())
+        assert words.tolist() == [_mix64(v) for v in values]
+        _mix_rounds(z, np.empty_like(z))
+        assert np.array_equal(z >> np.uint64(63), words >> np.uint64(63))
 
 
 class TestDeriveSeed:
