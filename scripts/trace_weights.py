@@ -7,7 +7,6 @@ import numpy as np
 
 from metaweight.backbones import BackboneArch, ModelState, build_embedding
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, rule_label, sample_few_shot
-from metaweight.regulator import RegulatorConfig
 from metaweight.stats import accuracy, predict
 from metaweight.training import TrainSpec, train_mwr, write_weight_trace
 from metaweight.vectors import RngState, derive_seed
@@ -21,14 +20,7 @@ def main() -> int:
 
     arch = BackboneArch("mlp", build_embedding(derive_seed(seed, "embedding"), 4096, 32), 2)
     model = ModelState(arch.init_params(derive_seed(seed, "init")), arch)
-    spec = TrainSpec(
-        method="mwr",
-        epochs=20,
-        alpha=0.05,
-        seed=derive_seed(seed, "train"),
-        batch_size=16,
-        regulator=RegulatorConfig(learning_rate=0.05, source_batch_size=16),
-    )
+    spec = TrainSpec(method="mwr", epochs=20, alpha=0.05, seed=derive_seed(seed, "train"), batch_size=16)
     report = train_mwr(spec, model, source.examples, t_fs.examples)
 
     consistent = np.array(

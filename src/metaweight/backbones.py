@@ -154,6 +154,21 @@ def featurize_pair(text_a: Sequence[str], text_b: Sequence[str], emb: EmbeddingT
     return np.concatenate((u, v, np.abs(u - v), u * v))
 
 
+def param_count(kind: str, embedding_dim: int, class_count: int, hidden_dim: int) -> int:
+    """Length of the parameter vector of a backbone family at these
+    dimensions; a length above MAX_PARAM_COUNT is a ConfigError."""
+    f, c, h = 4 * embedding_dim, class_count, hidden_dim
+    if kind == "logistic":
+        count = c * f + c
+    elif kind == "mlp":
+        count = h * f + h + c * h + c
+    else:
+        count = c * embedding_dim * embedding_dim + c
+    if count > MAX_PARAM_COUNT:
+        raise ConfigError(f"{kind} backbone has {count} parameters, above the cap of {MAX_PARAM_COUNT}")
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class BackboneArch:
     """Backbone family plus dimensions; owns the frozen embedding table."""
@@ -170,10 +185,7 @@ class BackboneArch:
             raise DomainError("class_count must be >= 2")
         if self.hidden_dim < 1:
             raise DomainError("hidden_dim must be >= 1")
-        if self.param_count > MAX_PARAM_COUNT:
-            raise ConfigError(
-                f"{self.kind} backbone has {self.param_count} parameters, above the cap of {MAX_PARAM_COUNT}"
-            )
+        param_count(self.kind, self.embedding.dim, self.class_count, self.hidden_dim)  # checks the cap
 
     @property
     def feature_dim(self) -> int:
@@ -191,14 +203,7 @@ class BackboneArch:
 
     @property
     def param_count(self) -> int:
-        f, c = self.feature_dim, self.class_count
-        if self.kind == "logistic":
-            return c * f + c
-        if self.kind == "mlp":
-            h = self.hidden_dim
-            return h * f + h + c * h + c
-        d = self.embedding.dim
-        return c * d * d + c
+        return param_count(self.kind, self.embedding.dim, self.class_count, self.hidden_dim)
 
     def init_params(self, seed: int) -> np.ndarray:
         """Seeded uniform initialization in [-0.1, 0.1)."""

@@ -111,10 +111,8 @@ def _cmd_train(args) -> int:
     regulator = None
     if args.method == "mwr":
         regulator = RegulatorConfig(
-            learning_rate=args.alpha,
             init_policy=args.init_policy,
             clamp_nonnegative=not args.no_clamp,
-            source_batch_size=args.batch_size,
             target_batch_size=args.target_batch_size,
         )
     spec = TrainSpec(

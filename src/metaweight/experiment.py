@@ -13,14 +13,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .backbones import BACKBONE_KINDS, MAX_EMBEDDING_ENTRIES, BackboneArch, ModelState, build_embedding
+from .backbones import BACKBONE_KINDS, MAX_EMBEDDING_ENTRIES, BackboneArch, ModelState, build_embedding, param_count
 from .data import (
     Dataset,
     FewShotSpec,
@@ -35,7 +34,7 @@ from .data import (
 from .errors import ConfigError, DataError, DomainError, MetaweightError
 from .regulator import RegulatorConfig
 from .stats import PredictionRecord, accuracy, permutation_test, predict
-from .training import MAX_EPOCHS, METHODS, TrainSpec, run_training
+from .training import METHODS, TrainSpec, run_training
 from .vectors import RngState, derive_seed
 
 
@@ -67,13 +66,8 @@ class BackboneConfig:
                 f"backbone.buckets * embedding_dim = {self.buckets * self.embedding_dim} "
                 f"exceeds the cap of {MAX_EMBEDDING_ENTRIES} embedding entries"
             )
-
-
-@dataclass(frozen=True)
-class RegulatorSection:
-    init_policy: str = "zero"
-    clamp_nonnegative: bool = True
-    target_batch_size: int | None = None
+        # two classes is the fewest a backbone takes, so this is a lower bound
+        param_count(self.kind, self.embedding_dim, 2, self.hidden_dim)
 
 
 # Largest n_permutations a config may ask for. A permutation test computes
@@ -85,6 +79,11 @@ MAX_PERMUTATIONS = 10**7
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment grid. alpha and batch_size are the one copy of
+    the step size and the batch size: the regulator's learning_rate and
+    source_batch_size stay None ("the TrainSpec's"), and every mwr run's
+    TrainSpec fills them in."""
+
     data_synthetic: ShiftSpec | None
     data_files: FileData | None
     backbone: BackboneConfig
@@ -94,7 +93,7 @@ class ExperimentConfig:
     alpha: float = 0.05
     epochs: int = 20
     batch_size: int = 64
-    regulator: RegulatorSection = RegulatorSection()
+    regulator: RegulatorConfig = RegulatorConfig()
     reference_method: str | None = None
     n_permutations: int = 10000
     output_dir: str = "results"
@@ -113,12 +112,8 @@ class ExperimentConfig:
             raise ConfigError("at least one shot value >= 1 is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be a finite number > 0, got {self.alpha}")
-        if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ConfigError(f"epochs must be between 1 and the cap of {MAX_EPOCHS}, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        # alpha, epochs, batch_size and the regulator, as every run will check them
+        TrainSpec("mwr", self.epochs, self.alpha, batch_size=self.batch_size, regulator=self.regulator)
         if self.reference_method is not None and self.reference_method not in self.methods:
             raise ConfigError(f"reference method {self.reference_method!r} is not in methods")
         if not 1 <= self.n_permutations <= MAX_PERMUTATIONS:
@@ -127,20 +122,10 @@ class ExperimentConfig:
             )
 
 
-_TOP_KEYS = {
-    "data",
-    "backbone",
-    "methods",
-    "shots",
-    "seeds",
-    "alpha",
-    "epochs",
-    "batch_size",
-    "regulator",
-    "reference_method",
-    "n_permutations",
-    "output_dir",
-}
+# The JSON keys: one per field, with "data" holding data_synthetic or data_files.
+_TOP_KEYS = {"data"} | {f.name for f in dataclasses.fields(ExperimentConfig) if not f.name.startswith("data_")}
+# The regulator keys; its learning_rate and source_batch_size are alpha and batch_size.
+_REGULATOR_KEYS = ("init_policy", "clamp_nonnegative", "target_batch_size")
 
 
 def _require_keys(mapping: Mapping, allowed, where: str) -> None:
@@ -179,10 +164,11 @@ def _check_fields(cls, mapping: Mapping, where: str) -> None:
             raise ConfigError(f"{where}.{f.name} must be {wanted}, got {value!r}")
 
 
-def _build(cls, mapping: Mapping, where: str):
+def _build(cls, mapping: Mapping, where: str, keys=None):
+    """cls from a section whose keys are among `keys` (default: every field)."""
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
-    _require_keys(mapping, {f.name for f in dataclasses.fields(cls)}, where)
+    _require_keys(mapping, keys or {f.name for f in dataclasses.fields(cls)}, where)
     _check_fields(cls, mapping, where)
     try:
         return cls(**mapping)
@@ -218,47 +204,33 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         if isinstance(files_raw, Mapping) and files_raw.get("keep_labels") is not None:
             files_raw = dict(files_raw, keep_labels=_list_of(files_raw, "keep_labels", "int"))
         files = _build(FileData, files_raw, "data.files")
-    backbone = _build(BackboneConfig, raw.get("backbone", {}), "backbone")
-    regulator = _build(RegulatorSection, raw.get("regulator", {}), "regulator")
-    kwargs = {}
-    for key in ("alpha", "epochs", "batch_size", "reference_method", "n_permutations", "output_dir"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    _check_fields(ExperimentConfig, kwargs, "config")
-    return ExperimentConfig(
-        data_synthetic=synthetic,
-        data_files=files,
-        backbone=backbone,
-        methods=_list_of(raw, "methods", "str"),
-        shots=_list_of(raw, "shots", "int"),
-        seeds=_list_of(raw, "seeds", "int"),
-        regulator=regulator,
-        **kwargs,
-    )
+    sections = {
+        "backbone": _build(BackboneConfig, raw.get("backbone", {}), "backbone"),
+        "regulator": _build(RegulatorConfig, raw.get("regulator", {}), "regulator", _REGULATOR_KEYS),
+        "methods": _list_of(raw, "methods", "str"),
+        "shots": _list_of(raw, "shots", "int"),
+        "seeds": _list_of(raw, "seeds", "int"),
+    }
+    scalars = {key: value for key, value in raw.items() if key not in sections and key != "data"}
+    _check_fields(ExperimentConfig, scalars, "config")
+    return ExperimentConfig(data_synthetic=synthetic, data_files=files, **sections, **scalars)
+
+
+def _plain(value):
+    """Dataclasses to dicts and tuples to lists, recursively."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if cfg.data_synthetic is not None:
-        data = {"synthetic": dataclasses.asdict(cfg.data_synthetic)}
-    else:
-        files = dataclasses.asdict(cfg.data_files)
-        if files["keep_labels"] is not None:
-            files["keep_labels"] = list(files["keep_labels"])
-        data = {"files": files}
-    return {
-        "data": data,
-        "backbone": dataclasses.asdict(cfg.backbone),
-        "methods": list(cfg.methods),
-        "shots": list(cfg.shots),
-        "seeds": list(cfg.seeds),
-        "alpha": cfg.alpha,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "regulator": dataclasses.asdict(cfg.regulator),
-        "reference_method": cfg.reference_method,
-        "n_permutations": cfg.n_permutations,
-        "output_dir": cfg.output_dir,
-    }
+    """The JSON form config_from_dict reads back, keys in field order."""
+    out = _plain(cfg)
+    synthetic, files = out.pop("data_synthetic"), out.pop("data_files")
+    out["regulator"] = {key: out["regulator"][key] for key in _REGULATOR_KEYS}
+    return {"data": {"synthetic": synthetic} if files is None else {"files": files}, **out}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -369,13 +341,6 @@ def _run_cell(
         hidden_dim=cfg.backbone.hidden_dim,
     )
     init = arch.init_params(derive_seed(seed, "init", shot))
-    reg = RegulatorConfig(
-        learning_rate=cfg.alpha,
-        init_policy=cfg.regulator.init_policy,
-        clamp_nonnegative=cfg.regulator.clamp_nonnegative,
-        source_batch_size=cfg.batch_size,
-        target_batch_size=cfg.regulator.target_batch_size,
-    )
 
     records: dict[str, PredictionRecord] = {}
     accs: dict[str, float] = {}
@@ -388,7 +353,7 @@ def _run_cell(
             alpha=cfg.alpha,
             seed=derive_seed(seed, "train", method, shot),
             batch_size=cfg.batch_size,
-            regulator=reg if method == "mwr" else None,
+            regulator=cfg.regulator if method == "mwr" else None,
         )
         report = run_training(spec, model0, source.examples, t_fs.examples)
         init_digests[method] = _params_digest(report.initial_params)
@@ -424,6 +389,9 @@ def _run_cell(
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     """Full (shot, seed) grid; failed cells become error rows, the run continues."""
     file_data = _prepare_file_datasets(cfg.data_files) if cfg.data_files is not None else None
+    if file_data is not None:  # the parse checked the backbone at two classes; files may have more
+        b = cfg.backbone
+        param_count(b.kind, b.embedding_dim, file_data[0].class_count, b.hidden_dim)
     rows: list[CellResult] = []
     errors: list[CellError] = []
     manifests: list[dict] = []
@@ -471,13 +439,8 @@ def _summary_text(table: ResultsTable) -> str:
 
 
 def table_to_dict(table: ResultsTable) -> dict:
-    return {
-        "config": table.config,
-        "rows": [dataclasses.asdict(r) for r in table.rows],
-        "aggregates": [dataclasses.asdict(r) for r in table.aggregates],
-        "errors": [dataclasses.asdict(e) for e in table.errors],
-        "manifests": list(table.manifests),
-    }
+    out = _plain(table)
+    return {"config": out.pop("config"), **out}
 
 
 def table_from_dict(payload: Mapping) -> ResultsTable:

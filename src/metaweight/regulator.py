@@ -67,20 +67,22 @@ TARGET_BATCH_CAP = 256
 @dataclass(frozen=True)
 class RegulatorConfig:
     """Hyperparameters of the reweighting step; one learning rate drives
-    the provisional update, the weight regulation, and the real update."""
+    the provisional update, the weight regulation, and the real update.
+    learning_rate and source_batch_size None mean "the TrainSpec's": a
+    TrainSpec fills in its alpha and batch_size. Given values are checked."""
 
-    learning_rate: float = 0.05
+    learning_rate: float | None = None
     init_policy: str = "zero"
     clamp_nonnegative: bool = True
-    source_batch_size: int = 64
+    source_batch_size: int | None = None
     target_batch_size: int | None = None  # None: full target set, capped at TARGET_BATCH_CAP
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if self.learning_rate is not None and not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.init_policy not in INIT_POLICIES:
             raise ConfigError(f"unknown init policy {self.init_policy!r}; expected one of {INIT_POLICIES}")
-        if self.source_batch_size < 1:
+        if self.source_batch_size is not None and self.source_batch_size < 1:
             raise ConfigError("source_batch_size must be >= 1")
         if self.target_batch_size is not None and self.target_batch_size < 1:
             raise ConfigError("target_batch_size must be >= 1 when given")
@@ -238,9 +240,12 @@ def mwr_step(
     serves the provisional update, the alignment and the real update. The
     source may also be FeatureBatch rows or examples, the target set rows or
     examples; all give bit-identical results. An empty source batch or
-    target set is a DomainError.
+    target set is a DomainError, a config without a learning_rate a
+    ConfigError.
     """
     alpha = cfg.learning_rate
+    if alpha is None:
+        raise ConfigError("mwr_step needs a learning_rate; give one or let a TrainSpec fill in its alpha")
     initial = init_weights(len(source_batch), cfg.init_policy, rng)
     target_batch = select_target_batch(target_set, cfg, rng)
     source_batch = linearize(model, source_batch)

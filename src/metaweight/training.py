@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -48,6 +48,11 @@ MAX_EPOCHS = 10**4
 
 @dataclass(frozen=True)
 class TrainSpec:
+    """One training run. For mwr the regulator (default RegulatorConfig())
+    is stored resolved: its learning_rate and source_batch_size, where None
+    means "the TrainSpec's", become alpha and batch_size, and a given value
+    that differs is a ConfigError."""
+
     method: str
     epochs: int = 20
     alpha: float = 0.05
@@ -65,16 +70,13 @@ class TrainSpec:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.method == "mwr":
-            if self.regulator is None:
-                object.__setattr__(
-                    self,
-                    "regulator",
-                    RegulatorConfig(learning_rate=self.alpha, source_batch_size=self.batch_size),
-                )
-            elif self.regulator.learning_rate != self.alpha:
+            reg = self.regulator or RegulatorConfig()
+            if reg.learning_rate not in (None, self.alpha):
                 raise ConfigError("the regulator learning_rate must equal the TrainSpec alpha")
-            elif self.regulator.source_batch_size != self.batch_size:
+            if reg.source_batch_size not in (None, self.batch_size):
                 raise ConfigError("the regulator source_batch_size must equal the TrainSpec batch_size")
+            resolved = replace(reg, learning_rate=self.alpha, source_batch_size=self.batch_size)
+            object.__setattr__(self, "regulator", resolved)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ never raises. Drawn values stay tiny, so no draw starts a long run.
 
 Paths in the drawn arguments are relative: each run starts in a directory
 that holds an input file of every kind. A drawn experiment config is a
-mapping of fields, written to drawn.json before the run."""
+mapping of fields, regulator and backbone sections among them, written to
+drawn.json before the run."""
 
 import contextlib
 import io
@@ -129,6 +130,17 @@ _config_fields = _options({
     "alpha": _flag([0.05], [0, -1, float("nan"), "x"]),
     "shots": _flag([[2]], [[0], [-1], [10**6], "2"]),
     "methods": _flag([["mwr"], ["backbone_only", "mwr"]], [[], ["x"]]),
+    "regulator": _options({
+        "init_policy": _flag(["zero", "one", "random"], ["x", 1]),
+        "clamp_nonnegative": _flag([True, False], ["no"]),
+        "target_batch_size": _flag([None, 2], [0, -1, "2"]),
+    }),
+    "backbone": _options({
+        "kind": _flag(["logistic", "mlp", "bilinear"], ["x"]),
+        "embedding_dim": _flag([1, 2], [0, 10**15]),
+        "buckets": _flag([16], [0, 10**15]),
+        "hidden_dim": _flag([1, 2], [0, 10**8, 10**15]),
+    }),
 })
 _experiment = _command(
     st.just("experiment"),
@@ -168,8 +180,13 @@ class TestExitCodes:
     @example(argv=["train", "--method", "mwr", "--target-fs", "data.tsv", "--source", "data.tsv", "--epochs", str(10**20)])
     @example(argv=["experiment", "--config", {"epochs": 10**20, "methods": ["mwr"]}, "--out-dir", "out/results"])
     @example(argv=["train", "--method", "backbone_only", "--backbone", "mlp", "--target-fs", "data.tsv", "--source", "data.tsv", "--hidden-dim", str(10**15)])
+    @example(argv=["experiment", "--config", {"regulator": {"init_policy": "half"}}, "--out-dir", "out/results"])
+    @example(argv=["experiment", "--config", {"backbone": {"kind": "mlp", "hidden_dim": 10**8}}, "--out-dir", "out/results"])
     def test_every_run_ends_in_a_documented_exit_code(self, files, argv):
-        if argv[0] == "experiment" and isinstance(argv[2], dict):
+        """Every run exits 0-3, and a drawn experiment config that exits 0
+        wrote no ConfigError row: config errors end the run before any cell."""
+        drawn = argv[0] == "experiment" and isinstance(argv[2], dict)
+        if drawn:
             (files / "drawn.json").write_text(json.dumps(dict(_CONFIG, **argv[2])), encoding="utf-8")
             argv = [*argv[:2], "drawn.json", *argv[3:]]
         cwd = os.getcwd()
@@ -181,3 +198,5 @@ class TestExitCodes:
             os.chdir(cwd)
         event(f"{argv[0]} exits {code}")
         assert code in (0, 1, 2, 3), argv
+        if drawn and code == 0:
+            assert "error: ConfigError" not in (files / argv[-1] / "results.csv").read_text(encoding="utf-8"), argv

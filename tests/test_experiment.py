@@ -121,6 +121,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(_tiny_config(**override))
 
+    @pytest.mark.parametrize(
+        "regulator, message",
+        [({"init_policy": "half"}, "unknown init policy 'half'"), ({"target_batch_size": 0}, "target_batch_size")],
+    )
+    def test_bad_regulator_values_are_config_errors(self, regulator, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(_tiny_config(regulator=regulator))
+
+    @pytest.mark.parametrize("key", ["learning_rate", "source_batch_size"])
+    def test_regulator_takes_no_step_size_or_batch_size(self, key):
+        with pytest.raises(ConfigError, match="unknown regulator keys"):
+            config_from_dict(_tiny_config(regulator={key: 16}))
+
+    def test_config_holds_the_unresolved_regulator(self):
+        cfg = config_from_dict(_tiny_config(regulator={"init_policy": "one", "target_batch_size": 8}))
+        assert (cfg.regulator.learning_rate, cfg.regulator.source_batch_size) == (None, None)
+        echo = config_to_dict(cfg)
+        assert echo["regulator"] == {"init_policy": "one", "clamp_nonnegative": True, "target_batch_size": 8}
+        assert list(echo) == [
+            "data", "backbone", "methods", "shots", "seeds", "alpha", "epochs", "batch_size",
+            "regulator", "reference_method", "n_permutations", "output_dir",
+        ]
+
+    @pytest.mark.parametrize(
+        "backbone, count",
+        [
+            ({"kind": "mlp", "embedding_dim": 4, "hidden_dim": 10**8}, 1900000002),
+            ({"kind": "bilinear", "embedding_dim": 4096, "buckets": 1}, 33554434),
+        ],
+    )
+    def test_oversized_backbone_is_a_config_error(self, backbone, count):
+        with pytest.raises(ConfigError, match=f"backbone has {count} parameters, above the cap"):
+            config_from_dict(_tiny_config(backbone=backbone))
+
     def test_epochs_cap(self):
         cfg = config_from_dict(_tiny_config(epochs=MAX_EPOCHS, methods=["mwr"]))
         assert cfg.epochs == MAX_EPOCHS
@@ -254,6 +288,16 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         assert len(table.rows) == 1 and not table.errors
         assert 0.0 <= table.rows[0].accuracy <= 1.0
+
+    def test_backbone_too_large_for_the_files_classes_is_a_hard_error(self, tmp_path):
+        # 2,200,000 hidden units fit under the cap at two classes, not at three
+        rows = "".join(f"a{i} b\tc{i} d\t{i % 3}\n" for i in range(9))
+        (tmp_path / "three.tsv").write_text(rows, encoding="utf-8")
+        files = {"source": str(tmp_path / "three.tsv"), "target": str(tmp_path / "three.tsv")}
+        backbone = {"kind": "mlp", "embedding_dim": 1, "buckets": 16, "hidden_dim": 2_200_000}
+        cfg = config_from_dict(_tiny_config(data={"files": files}, backbone=backbone, methods=["backbone_only"]))
+        with pytest.raises(ConfigError, match="mlp backbone has 17600003 parameters"):
+            run_experiment(cfg)
 
     def test_file_data_missing_source_is_a_hard_error(self, tmp_path):
         cfg = config_from_dict(
@@ -399,6 +443,23 @@ class TestCli:
         args = ["train", "--method", "backbone_only", "--target-fs", str(data), "--buckets", str(10**15)]
         assert main(args) == 1
         assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"regulator": {"init_policy": "half"}}, "unknown init policy 'half'"),
+            ({"regulator": {"target_batch_size": 0}}, "target_batch_size must be >= 1"),
+            ({"backbone": {"kind": "mlp", "hidden_dim": 10**8}}, "mlp backbone has"),
+        ],
+    )
+    def test_bad_regulator_or_backbone_exits_before_any_cell(self, tmp_path, capsys, override, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_tiny_config(methods=["backbone_only", "mwr"], **override)))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (out / "results.csv").exists()
 
     def test_report_without_tables_exit_code(self, tmp_path, capsys):
         results = tmp_path / "results.json"

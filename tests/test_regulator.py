@@ -537,3 +537,11 @@ class TestRegulatorConfig:
             RegulatorConfig(source_batch_size=0)
         with pytest.raises(ConfigError):
             RegulatorConfig(target_batch_size=0)
+
+    def test_unresolved_learning_rate_refused_by_mwr_step(self, setup):
+        src, _, _, model = setup
+        batch = list(src.examples[:4])
+        cfg = RegulatorConfig()
+        assert cfg.learning_rate is None and cfg.source_batch_size is None
+        with pytest.raises(ConfigError, match="mwr_step needs a learning_rate"):
+            mwr_step(model, batch, batch, cfg, RngState(0))

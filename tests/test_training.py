@@ -107,6 +107,14 @@ class TestTrainSpec:
         assert spec.regulator.learning_rate == 0.07
         assert spec.regulator.source_batch_size == 12
 
+    def test_mwr_regulator_resolved_from_spec(self):
+        spec = TrainSpec("mwr", alpha=0.07, batch_size=12, regulator=RegulatorConfig(init_policy="one"))
+        assert spec.regulator.learning_rate == 0.07
+        assert spec.regulator.source_batch_size == 12
+        assert spec.regulator.init_policy == "one"
+        given = RegulatorConfig(learning_rate=0.07, source_batch_size=12, init_policy="one")
+        assert TrainSpec("mwr", alpha=0.07, batch_size=12, regulator=given).regulator == spec.regulator
+
     def test_mwr_alpha_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             TrainSpec(method="mwr", alpha=0.1, regulator=RegulatorConfig(learning_rate=0.2))
