@@ -8,7 +8,7 @@ import numpy as np
 from metaweight.backbones import BackboneArch, ModelState, build_embedding
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, rule_label, sample_few_shot
 from metaweight.stats import accuracy, predict
-from metaweight.training import TrainSpec, train_mwr, write_weight_trace
+from metaweight.training import TrainSpec, run_training, write_weight_trace
 from metaweight.vectors import RngState, derive_seed
 
 
@@ -21,14 +21,13 @@ def main() -> int:
     arch = BackboneArch("mlp", build_embedding(derive_seed(seed, "embedding"), 4096, 32), 2)
     model = ModelState(arch.init_params(derive_seed(seed, "init")), arch)
     spec = TrainSpec(method="mwr", epochs=20, alpha=0.05, seed=derive_seed(seed, "train"), batch_size=16)
-    report = train_mwr(spec, model, source.examples, t_fs.examples)
+    report = run_training(spec, model, source.examples, t_fs.examples)
 
     consistent = np.array(
         [ex.label == rule_label(shift, ex.text_a, ex.text_b) for ex in source.examples]
     )
-    steps = np.array([row.step for row in report.weight_trace])
-    weights = np.array([row.weight for row in report.weight_trace])
-    flags = consistent[[row.example_id for row in report.weight_trace]]
+    trace = report.weight_trace
+    steps, weights, flags = trace.step, trace.weight, consistent[trace.example_id]
 
     steps_per_epoch = steps.max() // spec.epochs + 1
     print("epoch  mean weight (consistent)  mean weight (flipped)")

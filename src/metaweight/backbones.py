@@ -192,11 +192,6 @@ class BackboneArch:
         return 4 * self.embedding.dim
 
     @property
-    def input_gain(self) -> float:
-        """Base gain of the fixed input conditioning (see module docstring)."""
-        return 2.0 * math.sqrt(3.0 * self.embedding.dim)
-
-    @property
     def input_scale(self) -> np.ndarray:
         """Per-feature conditioning vector [g, g, g, g^2] over the four blocks."""
         return _input_scale(self.embedding.dim)
@@ -344,17 +339,16 @@ def forward(model: ModelState, features) -> np.ndarray:
 def per_example_loss(model: ModelState, example: Example) -> float:
     """Cross-entropy -log p(label), with the probability floored at PROB_FLOOR;
     the probabilities are bit for bit those `forward` gives for the example."""
-    return batch_loss(model, (example,))
+    return batch_loss(model, featurize(model.arch, (example,)))
 
 
 def per_example_gradient(model: ModelState, example: Example) -> np.ndarray:
     """Exact gradient of the per-example cross-entropy in the flat parameters."""
-    return batch_weighted_gradient_fast(model, (example,), np.ones(1))
+    return batch_weighted_gradient_fast(model, featurize(model.arch, (example,)), np.ones(1))
 
 
-def batch_loss(model: ModelState, examples: FeatureBatch | Sequence[Example]) -> float:
-    """Summed per-example cross-entropy over rows or examples, from one forward pass."""
-    batch = examples if isinstance(examples, FeatureBatch) else featurize(model.arch, examples)
+def batch_loss(model: ModelState, batch: Batch) -> float:
+    """Summed per-example cross-entropy over the rows, from one forward pass."""
     probs = _probs(model.arch, model.params, batch.scaled)[np.arange(len(batch)), batch.labels]
     loss = float(-np.log(np.maximum(probs, PROB_FLOOR)).sum())
     if not math.isfinite(loss):
@@ -425,44 +419,51 @@ class Linearized:
         return int(self.labels.shape[0])
 
 
-# A batch as the gradient functions take it: linearized, rows, or examples.
-Batch = Linearized | FeatureBatch | Sequence[Example]
+# A batch as the core takes it: rows, or rows linearized at a model.
+Batch = Linearized | FeatureBatch
 
 
-def linearize(model: ModelState, examples: Batch) -> Linearized:
+def as_rows(arch: BackboneArch, batch: Batch | Sequence[Example]) -> Batch:
+    """A Linearized or FeatureBatch as it is; a sequence of examples
+    featurized. Only the entry points that accept example lists call it."""
+    if isinstance(batch, (Linearized, FeatureBatch)):
+        return batch
+    return featurize(arch, batch)
+
+
+def linearize(model: ModelState, batch: Batch) -> Linearized:
     """One forward pass over a batch at `model`. A Linearized taken at this
     very model is returned as it is; one taken at any other model, even with
     equal parameters, is recomputed from its rows."""
-    if isinstance(examples, Linearized) and examples.model is model:
-        return examples
+    if isinstance(batch, Linearized) and batch.model is model:
+        return batch
     with np.errstate(over="ignore", invalid="ignore"):
-        batch, hidden, dlog = _logit_gradients(model, examples)
+        hidden, dlog = _logit_gradients(model, batch)
     dlog.setflags(write=False)
     return Linearized(model, batch.scaled, batch.labels, hidden, dlog)
 
 
-def _logit_gradients(model: ModelState, examples: Batch):
-    """The batch's rows, the hidden layer, and each row's cross-entropy
-    gradient in its logits, p - onehot(label): the stored parts of a
-    Linearized taken at this model, recomputed for anything else."""
-    if isinstance(examples, Linearized) and examples.model is model:
-        return examples, examples.hidden, examples.dlog
-    batch = examples if isinstance(examples, (FeatureBatch, Linearized)) else featurize(model.arch, examples)
+def _logit_gradients(model: ModelState, batch: Batch):
+    """The hidden layer and each row's cross-entropy gradient in its logits,
+    p - onehot(label): the stored parts of a Linearized taken at this model,
+    recomputed for anything else."""
+    if isinstance(batch, Linearized) and batch.model is model:
+        return batch.hidden, batch.dlog
     logits, hidden = _forward(model.arch, model.params, batch.scaled)
     dlog = _softmax(logits)
     dlog[np.arange(len(batch)), batch.labels] -= 1.0
-    return batch, hidden, dlog
+    return hidden, dlog
 
 
 def batch_weighted_gradient_fast(model: ModelState, examples: Batch, weights) -> np.ndarray:
-    """sum_i weights_i * grad_i over a linearized batch, rows or examples, as one VJP;
-    the per-example gradients are never materialized."""
+    """sum_i weights_i * grad_i over the rows, as one VJP; the per-example
+    gradients are never materialized."""
     weights = as_vector(weights)
     if weights.shape[0] != len(examples):
         raise DimensionError(f"{len(examples)} examples but {weights.shape[0]} weights")
     with np.errstate(over="ignore", invalid="ignore"):
-        batch, hidden, dlog = _logit_gradients(model, examples)
-        grad = _vjp(model.arch, model.params, batch.scaled, hidden, dlog * weights[:, None])
+        hidden, dlog = _logit_gradients(model, examples)
+        grad = _vjp(model.arch, model.params, examples.scaled, hidden, dlog * weights[:, None])
     return require_finite(grad, "batch gradient")
 
 
@@ -475,6 +476,6 @@ def alignment_scores(model: ModelState, examples: Batch, reference: np.ndarray) 
             f"reference has length {reference.shape[0]}, expected {model.arch.param_count}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        batch, hidden, dlog = _logit_gradients(model, examples)
-        scores = (dlog * _jvp(model.arch, model.params, batch.scaled, hidden, reference)).sum(axis=1)
+        hidden, dlog = _logit_gradients(model, examples)
+        scores = (dlog * _jvp(model.arch, model.params, examples.scaled, hidden, reference)).sum(axis=1)
     return require_finite(scores, "alignment scores")

@@ -28,6 +28,11 @@ runs one forward pass over the source batch and one over the target batch.
 The per-step trace of metagradients and weights is kept by the caller, in
 the columns of a `training.WeightTrace`.
 
+Every function here takes feature rows: a FeatureBatch, or a source batch
+already linearized. virtual_update, weight_meta_gradient, target_loss and
+target_gradient also take example lists, which they featurize on entry
+(`backbones.as_rows`), with bit for bit the results of the rows.
+
 Weights never persist across batches: every batch starts from its
 configured initialization. With zero initialization the provisional update
 is skipped, theta_tilde is theta itself, and the regulated weights reduce to
@@ -52,9 +57,9 @@ from .backbones import (
     FeatureBatch,
     ModelState,
     alignment_scores,
+    as_rows,
     batch_loss,
     batch_weighted_gradient_fast,
-    class_members,
     linearize,
 )
 from .errors import ConfigError, DimensionError, DomainError
@@ -101,13 +106,14 @@ def init_weights(n: int, policy: str, rng: RngState) -> np.ndarray:
     raise ConfigError(f"unknown init policy {policy!r}; expected one of {INIT_POLICIES}")
 
 
-def virtual_update(model: ModelState, batch: Batch, weights, alpha: float) -> np.ndarray:
+def virtual_update(model: ModelState, batch: Batch | Sequence[Example], weights, alpha: float) -> np.ndarray:
     """Provisional parameters theta - alpha * sum_i w_i g_i; the model is untouched.
 
     The result is linear in the weights (d theta_tilde / d w_i = -alpha * g_i),
     which is exactly the dependence the meta-gradient differentiates through.
     All-zero weights return the model's parameters themselves.
     """
+    batch = as_rows(model.arch, batch)
     weights = as_vector(weights)
     if weights.shape[0] != len(batch):
         raise DimensionError(f"{len(batch)} examples but {weights.shape[0]} weights")
@@ -116,19 +122,19 @@ def virtual_update(model: ModelState, batch: Batch, weights, alpha: float) -> np
     return model.params - float(alpha) * batch_weighted_gradient_fast(model, batch, weights)
 
 
-def target_loss(arch, theta_tilde, target_set: FeatureBatch | Sequence[Example]) -> float:
+def target_loss(arch, theta_tilde, target_set: Batch | Sequence[Example]) -> float:
     """Summed cross-entropy of the target examples at the given parameters."""
     if len(target_set) == 0:
         raise DomainError("target set must be non-empty")
-    return batch_loss(ModelState(theta_tilde, arch), target_set)
+    return batch_loss(ModelState(theta_tilde, arch), as_rows(arch, target_set))
 
 
-def target_gradient(arch, theta, target_set: FeatureBatch | Sequence[Example]) -> np.ndarray:
+def target_gradient(arch, theta, target_set: Batch | Sequence[Example]) -> np.ndarray:
     """Gradient of the summed target loss at theta."""
-    return _probe(ModelState(theta, arch), target_set)
+    return _probe(ModelState(theta, arch), as_rows(arch, target_set))
 
 
-def _probe(model: ModelState, target_set: FeatureBatch | Sequence[Example]) -> np.ndarray:
+def _probe(model: ModelState, target_set: Batch) -> np.ndarray:
     """Gradient of the summed target loss at the model's parameters."""
     if len(target_set) == 0:
         raise DomainError("target set must be non-empty")
@@ -137,9 +143,9 @@ def _probe(model: ModelState, target_set: FeatureBatch | Sequence[Example]) -> n
 
 def weight_meta_gradient(
     model: ModelState,
-    batch: Batch,
+    batch: Batch | Sequence[Example],
     weights,
-    target_set: FeatureBatch | Sequence[Example],
+    target_set: Batch | Sequence[Example],
     alpha: float,
 ) -> np.ndarray:
     """d target_loss(virtual_update(w)) / d w, one entry per source example.
@@ -149,6 +155,7 @@ def weight_meta_gradient(
     theta and does not depend on w, so the composed map is linear inside the
     target loss.
     """
+    batch, target_set = as_rows(model.arch, batch), as_rows(model.arch, target_set)
     theta_tilde = virtual_update(model, batch, weights, alpha)
     # all-zero weights give model.params itself: probe at the model, whose
     # parameters are already checked, rather than at a copy of them
@@ -178,31 +185,23 @@ def weighted_training_step(model: ModelState, batch: Batch, regulated, alpha: fl
     return ModelState(model.params - float(alpha) * grad, model.arch)
 
 
-def select_target_batch(
-    target_set: FeatureBatch | Sequence[Example], cfg: RegulatorConfig, rng: RngState
-) -> FeatureBatch | tuple[Example, ...]:
-    """Target examples for one step: the full set, or a class-balanced seeded draw.
+def select_target_batch(target_set: FeatureBatch, cfg: RegulatorConfig, rng: RngState) -> FeatureBatch:
+    """Target rows for one step: the full set, or a class-balanced seeded draw.
 
     With target_batch_size None the full set is used whenever it holds at
     most TARGET_BATCH_CAP examples; larger sets fall back to a balanced
     draw of TARGET_BATCH_CAP. The draw orders each class's members by one
     uniform each, classes in ascending order, and keeps the first of each
     class in set order: the words and picks of one `permutation` per class,
-    from one `uniforms` call. A FeatureBatch keeps its class members (so a
-    run lists them once) and gives a FeatureBatch of the picked rows (the set
-    itself when it is used whole); examples give a tuple of examples.
+    from one `uniforms` call. The set keeps its class members, so a run
+    lists them once; the result is the set itself when it is used whole.
     """
-    rows = isinstance(target_set, FeatureBatch)
     size = cfg.target_batch_size
     if size is None:
         size = min(len(target_set), TARGET_BATCH_CAP)
     if size >= len(target_set):
-        return target_set if rows else tuple(target_set)
-    if rows:
-        members = target_set.class_members
-    else:
-        labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
-        members = class_members(labels)
+        return target_set
+    members = target_set.class_members
     draws = rng.uniforms(len(target_set))
     base, extra = divmod(size, len(members))
     chosen = []
@@ -212,8 +211,7 @@ def select_target_batch(
         order = np.argsort(draws[start:stop], kind="stable")
         chosen.append(cls_members[order[: base + (1 if rank < extra else 0)]])
         start = stop
-    picked = np.sort(np.concatenate(chosen))
-    return target_set.take(picked) if rows else tuple(target_set[i] for i in picked)
+    return target_set.take(np.sort(np.concatenate(chosen)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +227,7 @@ class StepDetail:
 def mwr_step(
     model: ModelState,
     source_batch: Batch,
-    target_set: FeatureBatch | Sequence[Example],
+    target_set: FeatureBatch,
     cfg: RegulatorConfig,
     rng: RngState,
 ) -> StepDetail:
@@ -237,10 +235,9 @@ def mwr_step(
 
     The source batch is linearized once at the model, or used as given when
     it is already a Linearized of this model, and that one linearization
-    serves the provisional update, the alignment and the real update. The
-    source may also be FeatureBatch rows or examples, the target set rows or
-    examples; all give bit-identical results. An empty source batch or
-    target set is a DomainError, a config without a learning_rate a
+    serves the provisional update, the alignment and the real update; a
+    FeatureBatch source gives bit-identical results. An empty source batch
+    or target set is a DomainError, a config without a learning_rate a
     ConfigError.
     """
     alpha = cfg.learning_rate

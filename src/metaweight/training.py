@@ -1,4 +1,5 @@
-"""Training loops: three plain baselines plus the reweighted source loop.
+"""Training: three plain baselines and the reweighted source loop, behind
+one entry point, `run_training`.
 
 All methods share one optimizer, plain mini-batch gradient descent on the
 SUM of per-example cross-entropies, so a batch with all-ones weights and a
@@ -7,10 +8,13 @@ schedule, no early stopping: a run is `epochs` full passes. Callers supply
 the initial model, which makes it easy to hold the initialization constant
 across methods when comparing them.
 
-Each run featurizes its training sets once into a FeatureBatch, every step
-trains on a row slice of it and each epoch's target loss is scored on the
-run's target rows, which gives bit for bit the numbers of featurizing each
-batch afresh.
+`run_training` takes examples and featurizes each training set once into a
+FeatureBatch; below it everything works on rows. Every step trains on a
+row slice and each epoch's target loss is scored on the run's target rows,
+which gives bit for bit the numbers of featurizing each batch afresh. The
+three baselines are one SGD loop over phases of rows: backbone_only is one
+scored phase on the target, fine_tuning an unscored source phase and then a
+scored target phase, data_merging one scored phase on the merged rows.
 """
 
 from __future__ import annotations
@@ -140,21 +144,12 @@ class TrainReport:
     weight_trace: WeightTrace = field(default_factory=WeightTrace.zeros)
 
 
-def merge_datasets(s_train: Sequence[Example], t_fs: Sequence[Example]) -> tuple[Example, ...]:
-    """Concatenated training pool used by the data-merging baseline."""
-    return tuple(s_train) + tuple(t_fs)
-
-
-def sgd_epoch(
-    model: ModelState, data: FeatureBatch | Sequence[Example], alpha: float, batch_size: int, rng: RngState
-) -> ModelState:
-    """One shuffled pass of summed-loss mini-batch gradient descent."""
+def sgd_epoch(model: ModelState, data: FeatureBatch, alpha: float, batch_size: int, rng: RngState) -> ModelState:
+    """One shuffled pass of summed-loss mini-batch gradient descent over the rows."""
     if len(data) == 0:
         raise DomainError("sgd_epoch needs a non-empty dataset")
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
-    if not isinstance(data, FeatureBatch):
-        data = featurize(model.arch, data)
     order = rng.permutation(len(data))
     params = model.params
     for start in range(0, len(order), batch_size):
@@ -166,63 +161,22 @@ def sgd_epoch(
     return ModelState(params, model.arch)
 
 
-def train_backbone_only(spec: TrainSpec, model: ModelState, t_fs: Sequence[Example]) -> TrainReport:
-    """Fit on the few-shot target set alone."""
-    if len(t_fs) == 0:
-        raise DomainError("target few-shot set must be non-empty")
-    rng = RngState(derive_seed(spec.seed, "backbone_only"))
-    initial = model.params
-    target = featurize(model.arch, t_fs)
-    trace = []
-    for _ in range(spec.epochs):
-        model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, target))
-    return TrainReport("backbone_only", spec.seed, model, initial, tuple(trace))
-
-
-def train_fine_tuning(
-    spec: TrainSpec, model: ModelState, s_train: Sequence[Example], t_fs: Sequence[Example]
-) -> TrainReport:
-    """Pretrain on the source set, then fine-tune on the few-shot target set.
-
-    Each phase runs spec.epochs passes. The loss trace covers the target
-    fine-tuning phase, so its length stays equal to epochs.
-    """
-    if len(s_train) == 0 or len(t_fs) == 0:
-        raise DomainError("both training sets must be non-empty")
-    rng = RngState(derive_seed(spec.seed, "fine_tuning"))
-    initial = model.params
-    source = featurize(model.arch, s_train)
-    for _ in range(spec.epochs):
-        model = sgd_epoch(model, source, spec.alpha, spec.batch_size, rng)
-    target = featurize(model.arch, t_fs)
-    trace = []
-    for _ in range(spec.epochs):
-        model = sgd_epoch(model, target, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, target))
-    return TrainReport("fine_tuning", spec.seed, model, initial, tuple(trace))
-
-
-def train_data_merging(
-    spec: TrainSpec, model: ModelState, s_train: Sequence[Example], t_fs: Sequence[Example]
-) -> TrainReport:
-    """Train on the concatenated source plus few-shot target pool."""
-    if len(s_train) == 0 or len(t_fs) == 0:
-        raise DomainError("both training sets must be non-empty")
-    merged = featurize(model.arch, merge_datasets(s_train, t_fs))
-    target = merged.take(np.arange(len(s_train), len(merged)))
-    rng = RngState(derive_seed(spec.seed, "data_merging"))
+def _train_sgd(spec: TrainSpec, model: ModelState, phases, target: FeatureBatch) -> TrainReport:
+    """Plain SGD through the phases in order, on one RNG for the run. A phase
+    is (rows, scored): spec.epochs passes over the rows, each followed by the
+    target loss in the trace when the phase is scored."""
+    rng = RngState(derive_seed(spec.seed, spec.method))
     initial = model.params
     trace = []
-    for _ in range(spec.epochs):
-        model = sgd_epoch(model, merged, spec.alpha, spec.batch_size, rng)
-        trace.append(target_loss(model.arch, model.params, target))
-    return TrainReport("data_merging", spec.seed, model, initial, tuple(trace))
+    for rows, scored in phases:
+        for _ in range(spec.epochs):
+            model = sgd_epoch(model, rows, spec.alpha, spec.batch_size, rng)
+            if scored:
+                trace.append(target_loss(model.arch, model.params, target))
+    return TrainReport(spec.method, spec.seed, model, initial, tuple(trace))
 
 
-def train_mwr(
-    spec: TrainSpec, model: ModelState, s_train: Sequence[Example], t_fs: Sequence[Example]
-) -> TrainReport:
+def _train_mwr(spec: TrainSpec, model: ModelState, source: FeatureBatch, target: FeatureBatch) -> TrainReport:
     """Reweighted source training: one regulation step per source batch.
 
     Weights are re-initialized fresh for every batch; the raw meta-gradients
@@ -230,15 +184,9 @@ def train_mwr(
     row per (step, example). Each step's source batch is linearized here,
     once, and mwr_step reuses that forward pass for every source gradient.
     """
-    if len(s_train) == 0 or len(t_fs) == 0:
-        raise DomainError("both training sets must be non-empty")
     cfg = spec.regulator
-    if cfg is None:
-        raise ConfigError("mwr training needs a RegulatorConfig")
     rng = RngState(derive_seed(spec.seed, "mwr"))
     initial = model.params
-    source = featurize(model.arch, s_train)
-    target = featurize(model.arch, t_fs)
     n = len(source)
     trace = []
     weight_trace = WeightTrace.zeros(spec.epochs * n)
@@ -262,14 +210,29 @@ def train_mwr(
 def run_training(
     spec: TrainSpec, model: ModelState, s_train: Sequence[Example], t_fs: Sequence[Example]
 ) -> TrainReport:
-    """Dispatch one TrainSpec; s_train may be empty only for backbone_only."""
+    """Train by spec.method, featurizing each set once for the run.
+
+    backbone_only fits the few-shot target set alone and never reads s_train,
+    which may be empty; fine_tuning runs spec.epochs passes over the source,
+    then spec.epochs over the target, its loss trace covering the second
+    phase; data_merging trains on the source and target concatenated; mwr
+    reweights each source batch by its alignment with the target.
+    """
     if spec.method == "backbone_only":
-        return train_backbone_only(spec, model, t_fs)
-    if spec.method == "fine_tuning":
-        return train_fine_tuning(spec, model, s_train, t_fs)
+        if len(t_fs) == 0:
+            raise DomainError("target few-shot set must be non-empty")
+    elif len(s_train) == 0 or len(t_fs) == 0:
+        raise DomainError("both training sets must be non-empty")
+    arch = model.arch
     if spec.method == "data_merging":
-        return train_data_merging(spec, model, s_train, t_fs)
-    return train_mwr(spec, model, s_train, t_fs)
+        merged = featurize(arch, (*s_train, *t_fs))
+        return _train_sgd(spec, model, ((merged, True),), merged.take(np.arange(len(s_train), len(merged))))
+    source = None if spec.method == "backbone_only" else featurize(arch, s_train)
+    target = featurize(arch, t_fs)
+    if spec.method == "mwr":
+        return _train_mwr(spec, model, source, target)
+    phases = ((target, True),) if source is None else ((source, False), (target, True))
+    return _train_sgd(spec, model, phases, target)
 
 
 def write_weight_trace(trace: WeightTrace, path) -> None:

@@ -15,17 +15,22 @@ from metaweight.backbones import (
     BackboneArch,
     EmbeddingTable,
     Example,
-    FeatureBatch,
     ModelState,
     _probs,
     batch_weighted_gradient_fast,
     build_embedding,
     example_features,
+    featurize,
 )
 from metaweight.data import ShiftSpec, gen_synthetic_shift
-from metaweight.regulator import TARGET_BATCH_CAP, mwr_step
+from metaweight.regulator import (
+    TARGET_BATCH_CAP,
+    init_weights,
+    regulate_weights,
+    weight_meta_gradient,
+    weighted_training_step,
+)
 from metaweight.stats import PredictionRecord
-from metaweight.training import merge_datasets
 from metaweight.vectors import RngState, derive_seed
 
 
@@ -200,19 +205,15 @@ def oracle_shift_by_scan(spec: ShiftSpec, rng: RngState):
     )
 
 
-def oracle_select_target_batch(target_set, cfg, rng: RngState):
-    """select_target_batch with one `permutation` per class, the class
-    members found by a scan of the labels on every call."""
-    rows = isinstance(target_set, FeatureBatch)
+def oracle_select_target_batch(target_set, cfg, rng: RngState) -> tuple[Example, ...]:
+    """select_target_batch over examples, with one `permutation` per class
+    and the class members found by a scan of the labels on every call."""
     size = cfg.target_batch_size
     if size is None:
         size = min(len(target_set), TARGET_BATCH_CAP)
     if size >= len(target_set):
-        return target_set if rows else tuple(target_set)
-    if rows:
-        labels = target_set.labels
-    else:
-        labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
+        return tuple(target_set)
+    labels = np.fromiter((ex.label for ex in target_set), dtype=np.int64, count=len(target_set))
     classes = np.unique(labels)
     base, extra = divmod(size, len(classes))
     chosen = []
@@ -221,8 +222,7 @@ def oracle_select_target_batch(target_set, cfg, rng: RngState):
         take = min(base + (1 if rank < extra else 0), len(members))
         order = rng.permutation(len(members))
         chosen.append(members[order[:take]])
-    picked = np.sort(np.concatenate(chosen))
-    return target_set.take(picked) if rows else tuple(target_set[i] for i in picked)
+    return tuple(target_set[i] for i in np.sort(np.concatenate(chosen)))
 
 
 def oracle_write_weight_trace(rows, path) -> None:
@@ -259,10 +259,12 @@ def make_example(a, b, label: int) -> Example:
 
 
 def mwr_loop(spec, model: ModelState, s_train, t_fs):
-    """train_mwr as a loop that hands every step lists of examples, which
-    each step featurizes afresh. Returns the final model and the weight
-    trace as (step, example_id, metagrad, weight) tuples."""
+    """run_training's mwr as a loop of the public step functions: each step
+    featurizes its source examples and the target examples that
+    oracle_select_target_batch picks afresh. Returns the final model and the
+    weight trace as (step, example_id, metagrad, weight) tuples."""
     cfg = spec.regulator
+    alpha = cfg.learning_rate
     rng = RngState(derive_seed(spec.seed, "mwr"))
     rows = []
     step = 0
@@ -270,22 +272,27 @@ def mwr_loop(spec, model: ModelState, s_train, t_fs):
         order = rng.permutation(len(s_train))
         for start in range(0, len(order), cfg.source_batch_size):
             ids = [int(i) for i in order[start : start + cfg.source_batch_size]]
-            detail = mwr_step(model, [s_train[i] for i in ids], t_fs, cfg, rng)
-            model = detail.model
-            rows.extend((step, i, float(m), float(w)) for i, m, w in zip(ids, detail.metagrad, detail.weights))
+            batch = featurize(model.arch, [s_train[i] for i in ids])
+            initial = init_weights(len(ids), cfg.init_policy, rng)
+            targets = featurize(model.arch, oracle_select_target_batch(t_fs, cfg, rng))
+            metagrad = weight_meta_gradient(model, batch, initial, targets, alpha)
+            weights = regulate_weights(initial, metagrad, alpha, cfg.clamp_nonnegative)
+            model = weighted_training_step(model, batch, weights, alpha)
+            rows.extend((step, i, float(m), float(w)) for i, m, w in zip(ids, metagrad, weights))
             step += 1
     return model, rows
 
 
 def data_merging_loop(spec, model: ModelState, s_train, t_fs) -> ModelState:
-    """train_data_merging as a loop of summed-loss steps over example batches."""
-    data = merge_datasets(s_train, t_fs)
+    """run_training's data_merging as a loop of summed-loss steps, each on
+    its batch of examples featurized afresh."""
+    data = (*s_train, *t_fs)
     rng = RngState(derive_seed(spec.seed, "data_merging"))
     for _ in range(spec.epochs):
         order = rng.permutation(len(data))
         params = model.params
         for start in range(0, len(order), spec.batch_size):
-            batch = [data[i] for i in order[start : start + spec.batch_size]]
+            batch = featurize(model.arch, [data[i] for i in order[start : start + spec.batch_size]])
             grad = batch_weighted_gradient_fast(ModelState(params, model.arch), batch, np.ones(len(batch)))
             params = params - spec.alpha * grad
         model = ModelState(params, model.arch)

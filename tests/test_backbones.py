@@ -312,7 +312,7 @@ class TestBatchOps:
         model = random_model(arch, 77)
         batch = src.examples[:6]
         weights = sample_uniform(RngState(13), -1.0, 2.0, 6)
-        total = batch_weighted_gradient_fast(model, batch, weights)
+        total = batch_weighted_gradient_fast(model, featurize(arch, batch), weights)
         oracle = np.zeros(arch.param_count)
         for w_i, ex in zip(weights, batch):
             oracle = oracle + float(w_i) * per_example_gradient(model, ex)
@@ -325,11 +325,12 @@ class TestBatchOps:
         model = random_model(arch, 5)
         batch = src.examples[:8]
         weights = sample_uniform(RngState(2), 0.0, 1.0, 8)
+        rows = featurize(arch, batch)
         slow = oracle_weighted_gradient(model, batch, weights)
-        fast = batch_weighted_gradient_fast(model, batch, weights)
+        fast = batch_weighted_gradient_fast(model, rows, weights)
         assert max_relative_error(fast, slow, floor=1e-12) <= 1e-10
         reference = sample_uniform(RngState(3), -1.0, 1.0, arch.param_count)
-        scores = alignment_scores(model, batch, reference)
+        scores = alignment_scores(model, rows, reference)
         oracle = np.array([float(oracle_gradient(model, ex) @ reference) for ex in batch])
         assert max_relative_error(scores, oracle, floor=1e-12) <= 1e-10
 
@@ -364,10 +365,11 @@ class TestBatchOps:
         def close(got, want):
             return np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
 
-        grad = batch_weighted_gradient_fast(model, batch, weights)
+        rows = featurize(arch, batch)
+        grad = batch_weighted_gradient_fast(model, rows, weights)
         assert close(grad, oracle_weighted_gradient(model, batch, weights))
         scores = np.array([float(oracle_gradient(model, ex) @ reference) for ex in batch])
-        assert close(alignment_scores(model, batch, reference), scores)
+        assert close(alignment_scores(model, rows, reference), scores)
         for ex in batch:
             assert close(per_example_gradient(model, ex), oracle_gradient(model, ex))
 
@@ -376,7 +378,7 @@ class TestBatchOps:
         arch = small_arch("logistic")
         model = random_model(arch, 1)
         with pytest.raises(DimensionError):
-            batch_weighted_gradient_fast(model, src.examples[:3], np.ones(4))
+            batch_weighted_gradient_fast(model, featurize(arch, src.examples[:3]), np.ones(4))
 
     def test_batch_loss_is_sum(self):
         src, _ = small_task()
@@ -384,4 +386,4 @@ class TestBatchOps:
         model = random_model(arch, 2)
         batch = src.examples[:5]
         oracle = sum(per_example_loss(model, ex) for ex in batch)
-        assert abs(batch_loss(model, batch) - oracle) <= 1e-12 * max(oracle, 1.0)
+        assert abs(batch_loss(model, featurize(arch, batch)) - oracle) <= 1e-12 * max(oracle, 1.0)

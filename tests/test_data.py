@@ -368,13 +368,13 @@ class TestShiftTrainability:
     def _train_on_source(self, spec, seed=0):
         from metaweight.backbones import BackboneArch, ModelState, build_embedding
         from metaweight.stats import accuracy, predict
-        from metaweight.training import TrainSpec, train_backbone_only
+        from metaweight.training import TrainSpec, run_training
 
         src, tgt = gen_synthetic_shift(spec, RngState(seed))
         arch = BackboneArch("mlp", build_embedding(9, 2048, 32), 2, hidden_dim=32)
         model = ModelState(arch.init_params(seed), arch)
         train_spec = TrainSpec(method="backbone_only", epochs=10, alpha=0.05, seed=seed, batch_size=16)
-        report = train_backbone_only(train_spec, model, src.examples)
+        report = run_training(train_spec, model, (), src.examples)
         return accuracy(predict(report.model, tgt.examples))
 
     def test_clean_source_transfers(self):

@@ -16,6 +16,7 @@ from metaweight.backbones import (
     Linearized,
     ModelState,
     alignment_scores,
+    batch_loss,
     batch_weighted_gradient_fast,
     build_embedding,
     featurize,
@@ -219,23 +220,23 @@ class TestRegulateWeights:
 
 class TestWeightedTrainingStep:
     def test_zero_weights_no_op(self, setup):
-        src, _, _, model = setup
-        out = weighted_training_step(model, src.examples[:4], np.zeros(4), 0.7)
+        src, _, arch, model = setup
+        out = weighted_training_step(model, featurize(arch, src.examples[:4]), np.zeros(4), 0.7)
         assert np.array_equal(out.params, model.params)
 
     def test_unit_weights_plain_batch_step(self, setup):
-        src, _, _, model = setup
+        src, _, arch, model = setup
         batch = src.examples[:4]
         alpha = 0.15
         accum = np.zeros_like(model.params)
         for ex in batch:
             accum = accum + per_example_gradient(model, ex)
         oracle = model.params - alpha * accum
-        out = weighted_training_step(model, batch, np.ones(4), alpha)
+        out = weighted_training_step(model, featurize(arch, batch), np.ones(4), alpha)
         assert max_relative_error(out.params, oracle, floor=1e-14) <= 1e-10
 
     def test_mixed_weights_match_loop_oracle(self, setup):
-        src, _, _, model = setup
+        src, _, arch, model = setup
         batch = src.examples[:5]
         weights = np.array([0.2, 0.0, 1.5, 0.4, 0.9])
         alpha = 0.05
@@ -243,38 +244,38 @@ class TestWeightedTrainingStep:
         for w, ex in zip(weights, batch):
             accum = accum + float(w) * per_example_gradient(model, ex)
         oracle = model.params - alpha * accum
-        out = weighted_training_step(model, batch, weights, alpha)
+        out = weighted_training_step(model, featurize(arch, batch), weights, alpha)
         assert max_relative_error(out.params, oracle, floor=1e-14) <= 1e-10
 
 
 class TestSelectTargetBatch:
     def _targets(self, n):
-        return [Example((f"t{i}",), (f"u{i}",), i % 2) for i in range(n)]
+        # row i holds the value i, so a pick shows which rows it took
+        return FeatureBatch(np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2)
 
     def test_small_set_used_whole(self):
         cfg = RegulatorConfig(learning_rate=0.1)
         targets = self._targets(40)
-        assert select_target_batch(targets, cfg, RngState(0)) == tuple(targets)
+        assert select_target_batch(targets, cfg, RngState(0)) is targets
 
     def test_large_set_capped_and_balanced(self):
         cfg = RegulatorConfig(learning_rate=0.1)
-        targets = self._targets(600)
-        picked = select_target_batch(targets, cfg, RngState(1))
+        picked = select_target_batch(self._targets(600), cfg, RngState(1))
         assert len(picked) == 256
-        labels = [ex.label for ex in picked]
-        assert labels.count(0) == 128 and labels.count(1) == 128
+        assert np.count_nonzero(picked.labels == 0) == 128 and np.count_nonzero(picked.labels == 1) == 128
+        assert np.array_equal(picked.labels, picked.scaled[:, 0].astype(np.int64) % 2)
 
     def test_explicit_size(self):
         cfg = RegulatorConfig(learning_rate=0.1, target_batch_size=10)
         picked = select_target_batch(self._targets(100), cfg, RngState(2))
         assert len(picked) == 10
-        assert sum(ex.label for ex in picked) == 5
+        assert picked.labels.sum() == 5
 
 
 class TestMwrStep:
     def test_self_aligned_batch_descends_target_loss(self, setup):
         src, _, arch, model = setup
-        batch = list(src.examples[:6])
+        batch = featurize(arch, src.examples[:6])
         cfg = RegulatorConfig(learning_rate=0.2, init_policy="zero")
         before = target_loss(arch, model.params, batch)
         detail = mwr_step(model, batch, batch, cfg, RngState(3))
@@ -289,7 +290,8 @@ class TestMwrStep:
         ex = src.examples[2]
         alpha = 0.3
         cfg = RegulatorConfig(learning_rate=alpha, init_policy="zero")
-        weights = mwr_step(model, [ex], [ex], cfg, RngState(0)).weights
+        rows = featurize(arch, [ex])
+        weights = mwr_step(model, rows, rows, cfg, RngState(0)).weights
         g = per_example_gradient(model, ex)
         expected = alpha * alpha * dot(g, g)
         assert weights[0] > 0
@@ -305,14 +307,14 @@ class TestMwrStep:
         # its twin's, so alignments are negative, weights clamp to zero, and the
         # parameters do not move
         cfg = RegulatorConfig(learning_rate=0.4, init_policy="zero")
-        detail = mwr_step(model, flipped, targets, cfg, RngState(5))
+        detail = mwr_step(model, featurize(arch, flipped), featurize(arch, targets), cfg, RngState(5))
         assert np.array_equal(detail.weights, np.zeros(4))
         assert np.array_equal(detail.model.params, model.params)
 
     def test_matches_straight_line_composition(self, setup):
         src, tgt, arch, model = setup
-        batch = list(src.examples[:5])
-        targets = list(tgt.examples[:8])
+        batch = featurize(arch, src.examples[:5])
+        targets = featurize(arch, tgt.examples[:8])
         alpha = 0.25
         for policy in ("zero", "one", "random"):
             cfg = RegulatorConfig(learning_rate=alpha, init_policy=policy, clamp_nonnegative=True)
@@ -331,7 +333,7 @@ class TestMwrStep:
         targets = list(tgt.examples[:8])
         alpha = 0.2
         cfg = RegulatorConfig(learning_rate=alpha, init_policy="random", clamp_nonnegative=False)
-        detail = mwr_step(model, batch, targets, cfg, RngState(13))
+        detail = mwr_step(model, featurize(arch, batch), featurize(arch, targets), cfg, RngState(13))
         theta_tilde = virtual_update(model, batch, detail.initial_weights, alpha)
         tgrad = target_gradient(arch, theta_tilde, targets)
         for i, ex in enumerate(batch):
@@ -340,9 +342,9 @@ class TestMwrStep:
             assert increased == (alignment > 0)
 
     def test_fresh_weights_each_step(self, setup):
-        src, tgt, _, model = setup
-        batch = list(src.examples[:4])
-        targets = list(tgt.examples[:4])
+        src, tgt, arch, model = setup
+        batch = featurize(arch, src.examples[:4])
+        targets = featurize(arch, tgt.examples[:4])
         cfg = RegulatorConfig(learning_rate=0.1, init_policy="zero")
         rng = RngState(1)
         first = mwr_step(model, batch, targets, cfg, rng)
@@ -351,17 +353,18 @@ class TestMwrStep:
         assert np.array_equal(second.initial_weights, np.zeros(4))
 
     def test_empty_inputs_rejected(self, setup):
-        src, tgt, _, model = setup
+        src, tgt, arch, model = setup
         cfg = RegulatorConfig(learning_rate=0.1)
         with pytest.raises(DomainError):
-            mwr_step(model, [], tgt.examples[:2], cfg, RngState(0))
+            mwr_step(model, featurize(arch, []), featurize(arch, tgt.examples[:2]), cfg, RngState(0))
         with pytest.raises(DomainError):
-            mwr_step(model, src.examples[:2], [], cfg, RngState(0))
+            mwr_step(model, featurize(arch, src.examples[:2]), featurize(arch, []), cfg, RngState(0))
 
 
 class TestFeatureBatchPath:
-    """A Linearized source batch, FeatureBatch rows and example sequences
-    give bit-identical steps."""
+    """Rows in the core against example lists at the edge: a Linearized
+    source batch and FeatureBatch rows give bit-identical steps, and both
+    equal the step composed from the entry points that take examples."""
 
     @staticmethod
     def _uneven_targets(n):
@@ -375,7 +378,7 @@ class TestFeatureBatchPath:
         cfg = RegulatorConfig(learning_rate=0.1, target_batch_size=size)
         rng_rows, rng_examples = RngState(8), RngState(8)
         rows = select_target_batch(featurize(arch, targets), cfg, rng_rows)
-        examples = select_target_batch(targets, cfg, rng_examples)
+        examples = oracle_select_target_batch(targets, cfg, rng_examples)
         assert isinstance(rows, FeatureBatch)
         expected = featurize(arch, examples)
         assert np.array_equal(rows.scaled, expected.scaled)
@@ -392,17 +395,51 @@ class TestFeatureBatchPath:
         rows = featurize(arch, batch)
         for clamp in (True, False):
             cfg = RegulatorConfig(learning_rate=0.3, init_policy=policy, clamp_nonnegative=clamp, target_batch_size=size)
+            alpha = cfg.learning_rate
             details, cursors = [], []
-            for source, target in ((linearize(model, rows), featurize(arch, targets)), (rows, targets), (batch, targets)):
+            for source in (linearize(model, rows), rows):
                 rng = RngState(21)
-                details.append(mwr_step(model, source, target, cfg, rng))
+                details.append(mwr_step(model, source, featurize(arch, targets), cfg, rng))
                 cursors.append(rng.position)
-            for detail in details[1:]:
-                assert np.array_equal(detail.model.params, details[0].model.params)
-                assert np.array_equal(detail.weights, details[0].weights)
-                assert np.array_equal(detail.metagrad, details[0].metagrad)
-                assert np.array_equal(detail.initial_weights, details[0].initial_weights)
+            # the same step on example lists: the real update is the
+            # provisional one taken with the regulated weights
+            rng = RngState(21)
+            initial = init_weights(len(batch), policy, rng)
+            picked = oracle_select_target_batch(targets, cfg, rng)
+            metagrad = weight_meta_gradient(model, batch, initial, picked, alpha)
+            weights = regulate_weights(initial, metagrad, alpha, clamp)
+            params = virtual_update(model, batch, weights, alpha)
+            cursors.append(rng.position)
+            for detail in details:
+                assert np.array_equal(detail.model.params, params)
+                assert np.array_equal(detail.weights, weights)
+                assert np.array_equal(detail.metagrad, metagrad)
+                assert np.array_equal(detail.initial_weights, initial)
             assert len(set(cursors)) == 1
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp", "bilinear"])
+    def test_example_entry_points_equal_their_rows(self, kind):
+        """The six entry points that take examples give bit for bit what
+        the featurized rows give, linearized or not."""
+        src, tgt = small_task(seed=54, n_source=12, n_target=10)
+        arch = small_arch(kind)
+        model = random_model(arch, 6)
+        batch, targets = src.examples[:7], tgt.examples
+        rows, target_rows = featurize(arch, batch), featurize(arch, targets)
+        alpha = 0.3
+        for weights in (sample_uniform(RngState(4), 0.0, 1.0, len(batch)), np.zeros(len(batch))):
+            want = virtual_update(model, batch, weights, alpha)
+            for source in (rows, linearize(model, rows)):
+                assert np.array_equal(virtual_update(model, source, weights, alpha), want)
+            want = weight_meta_gradient(model, batch, weights, targets, alpha)
+            for source in (rows, linearize(model, rows)):
+                assert np.array_equal(weight_meta_gradient(model, source, weights, target_rows, alpha), want)
+        assert target_loss(arch, model.params, targets) == target_loss(arch, model.params, target_rows)
+        assert np.array_equal(target_gradient(arch, model.params, targets), target_gradient(arch, model.params, target_rows))
+        for i, ex in enumerate(batch):
+            one = rows.take([i])
+            assert per_example_loss(model, ex) == batch_loss(model, one)
+            assert np.array_equal(per_example_gradient(model, ex), batch_weighted_gradient_fast(model, one, np.ones(1)))
 
     def test_take_is_featurizing_the_rows(self):
         src, _ = small_task(seed=53, n_source=20, n_target=8)
@@ -435,8 +472,9 @@ class TestLinearizedPath:
         reference = target_gradient(arch, model.params, tgt.examples[:4])
         assert np.array_equal(alignment_scores(twin, stale, reference), alignment_scores(model, rows, reference))
         cfg = RegulatorConfig(learning_rate=0.2, init_policy="one")
-        got = mwr_step(twin, stale, tgt.examples[:4], cfg, RngState(2))
-        want = mwr_step(twin, rows, tgt.examples[:4], cfg, RngState(2))
+        targets = featurize(arch, tgt.examples[:4])
+        got = mwr_step(twin, stale, targets, cfg, RngState(2))
+        want = mwr_step(twin, rows, targets, cfg, RngState(2))
         assert np.array_equal(got.model.params, want.model.params)
         assert np.array_equal(got.metagrad, want.metagrad)
 
@@ -459,9 +497,6 @@ class TestSelectTargetBatchOracle:
         rows = FeatureBatch(np.arange(len(labels), dtype=np.float64)[:, None], np.array(labels, dtype=np.int64))
         fast, slow = RngState(seed, start), RngState(seed, start)
         want = oracle_select_target_batch(targets, cfg, slow)
-        assert select_target_batch(targets, cfg, fast) == want
-        assert fast.position == slow.position
-        fast = RngState(seed, start)
         picked = select_target_batch(rows, cfg, fast)
         assert picked.scaled[:, 0].astype(np.int64).tolist() == [int(ex.text_a[0][1:]) for ex in want]
         assert fast.position == slow.position
@@ -495,7 +530,7 @@ class TestRegulatorInvariants:
         src, tgt = small_task(seed=55, n_source=12, n_target=8)
         arch = small_arch(kind)
         model = random_model(arch, model_seed)
-        batch, targets = src.examples[:n], tgt.examples
+        batch, targets = featurize(arch, src.examples[:n]), featurize(arch, tgt.examples)
         assert virtual_update(model, batch, np.zeros(n), alpha) is model.params
         cfg = RegulatorConfig(learning_rate=alpha, init_policy="zero", clamp_nonnegative=clamp)
         detail = mwr_step(model, batch, targets, cfg, RngState(model_seed))
@@ -510,21 +545,22 @@ class TestRegulatorInvariants:
         """Zero weights probe at the model itself, others at a new state at theta~."""
         src, tgt = small_task(seed=56, n_source=8, n_target=6)
         model = random_model(small_arch("mlp"), 4)
+        batch, targets = featurize(model.arch, src.examples), featurize(model.arch, tgt.examples)
         weights = init_weights(len(src), policy, RngState(0))
         probes = []
 
         def spy(probe, examples, w):
-            if examples is tgt.examples:
+            if examples is targets:
                 probes.append(probe)
             return batch_weighted_gradient_fast(probe, examples, w)
 
         with mock.patch.object(metaweight.regulator, "batch_weighted_gradient_fast", spy):
-            metagrad = weight_meta_gradient(model, src.examples, weights, tgt.examples, 0.3)
-        theta_tilde = virtual_update(model, src.examples, weights, 0.3)
+            metagrad = weight_meta_gradient(model, batch, weights, targets, 0.3)
+        theta_tilde = virtual_update(model, batch, weights, 0.3)
         assert len(probes) == 1 and (probes[0] is model) == (policy == "zero")
         assert np.array_equal(probes[0].params, theta_tilde)
-        tgrad = target_gradient(model.arch, theta_tilde, tgt.examples)
-        assert np.array_equal(metagrad, -0.3 * alignment_scores(model, src.examples, tgrad))
+        tgrad = target_gradient(model.arch, theta_tilde, targets)
+        assert np.array_equal(metagrad, -0.3 * alignment_scores(model, batch, tgrad))
 
 
 class TestRegulatorConfig:
@@ -539,8 +575,8 @@ class TestRegulatorConfig:
             RegulatorConfig(target_batch_size=0)
 
     def test_unresolved_learning_rate_refused_by_mwr_step(self, setup):
-        src, _, _, model = setup
-        batch = list(src.examples[:4])
+        src, _, arch, model = setup
+        batch = featurize(arch, src.examples[:4])
         cfg = RegulatorConfig()
         assert cfg.learning_rate is None and cfg.source_batch_size is None
         with pytest.raises(ConfigError, match="mwr_step needs a learning_rate"):

@@ -2,25 +2,21 @@ import numpy as np
 import pytest
 
 from helpers import data_merging_loop, max_relative_error, mwr_loop, oracle_write_weight_trace
-from metaweight.backbones import BackboneArch, Example, ModelState, build_embedding
+from metaweight.backbones import BackboneArch, Example, ModelState, build_embedding, featurize
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, sample_few_shot
 from metaweight.errors import ConfigError, DomainError
 from metaweight.regulator import RegulatorConfig, target_loss, weighted_training_step
 from metaweight.stats import accuracy, predict
 from metaweight.training import (
     MAX_EPOCHS,
+    METHODS,
     TrainSpec,
     WeightTrace,
     WeightTraceRow,
     load_report,
-    merge_datasets,
     run_training,
     save_report,
     sgd_epoch,
-    train_backbone_only,
-    train_data_merging,
-    train_fine_tuning,
-    train_mwr,
     write_weight_trace,
 )
 from metaweight.vectors import RngState
@@ -48,16 +44,16 @@ class TestSgdEpoch:
     def test_zero_alpha_leaves_model(self):
         _, src, t_fs, _ = _task()
         model = _model()
-        out = sgd_epoch(model, t_fs.examples, 0.0, 8, RngState(0))
+        out = sgd_epoch(model, featurize(model.arch, t_fs.examples), 0.0, 8, RngState(0))
         assert np.array_equal(out.params, model.params)
 
     def test_single_example_single_batch_equals_unit_weighted_step(self):
         _, src, t_fs, _ = _task()
         model = _model()
-        ex = t_fs.examples[0]
+        rows = featurize(model.arch, t_fs.examples[:1])
         alpha = 0.2
-        via_epoch = sgd_epoch(model, [ex], alpha, 1, RngState(5))
-        via_step = weighted_training_step(model, [ex], np.ones(1), alpha)
+        via_epoch = sgd_epoch(model, rows, alpha, 1, RngState(5))
+        via_step = weighted_training_step(model, rows, np.ones(1), alpha)
         assert max_relative_error(via_epoch.params, via_step.params, floor=1e-14) <= 1e-12
 
     def test_learns_separable_toy_set(self):
@@ -67,15 +63,16 @@ class TestSgdEpoch:
             Example(("qm00", "qm00"), ("rm01", "rm01"), 0),
         ]
         model = _model(seed=3)
+        rows = featurize(model.arch, data)
         for _ in range(2):
-            model = sgd_epoch(model, data, 0.5, 2, RngState(9))
+            model = sgd_epoch(model, rows, 0.5, 2, RngState(9))
         record = predict(model, data)
         assert accuracy(record) == 1.0
 
     def test_empty_data_rejected(self):
         model = _model()
         with pytest.raises(DomainError):
-            sgd_epoch(model, [], 0.1, 4, RngState(0))
+            sgd_epoch(model, featurize(model.arch, []), 0.1, 4, RngState(0))
 
 
 class TestTrainSpec:
@@ -128,27 +125,27 @@ class TestBackboneOnly:
     def test_beats_chance_on_holdout(self):
         _, _, t_fs, rest = _task()
         spec = TrainSpec(method="backbone_only", epochs=12, alpha=0.05, seed=4, batch_size=8)
-        report = train_backbone_only(spec, _model(), t_fs.examples)
+        report = run_training(spec, _model(), (), t_fs.examples)
         assert accuracy(predict(report.model, rest.examples)) > 0.5
 
     def test_deterministic(self):
         _, _, t_fs, _ = _task()
         spec = TrainSpec(method="backbone_only", epochs=3, alpha=0.05, seed=8)
-        a = train_backbone_only(spec, _model(), t_fs.examples)
-        b = train_backbone_only(spec, _model(), t_fs.examples)
+        a = run_training(spec, _model(), (), t_fs.examples)
+        b = run_training(spec, _model(), (), t_fs.examples)
         assert np.array_equal(a.model.params, b.model.params)
         assert a.target_loss_trace == b.target_loss_trace
 
     def test_trace_length_is_epochs(self):
         _, _, t_fs, _ = _task()
         spec = TrainSpec(method="backbone_only", epochs=5, alpha=0.05, seed=1)
-        report = train_backbone_only(spec, _model(), t_fs.examples)
+        report = run_training(spec, _model(), (), t_fs.examples)
         assert len(report.target_loss_trace) == 5
 
     def test_empty_target_rejected(self):
         spec = TrainSpec(method="backbone_only", epochs=1)
         with pytest.raises(DomainError):
-            train_backbone_only(spec, _model(), [])
+            run_training(spec, _model(), (), [])
 
 
 class TestFineTuning:
@@ -166,15 +163,16 @@ class TestFineTuning:
             src, tgt_pool = gen_synthetic_shift(spec_cfg, RngState(100 + seed))
             t_fs, rest = sample_few_shot(tgt_pool, FewShotSpec(k=5, seed=seed))
             model = _model(seed)
-            ft = train_fine_tuning(
+            ft = run_training(
                 TrainSpec(method="fine_tuning", epochs=8, alpha=0.04, seed=seed, batch_size=8),
                 model,
                 src.examples,
                 t_fs.examples,
             )
-            bo = train_backbone_only(
+            bo = run_training(
                 TrainSpec(method="backbone_only", epochs=8, alpha=0.04, seed=seed, batch_size=8),
                 model,
+                (),
                 t_fs.examples,
             )
             wins += accuracy(predict(ft.model, rest.examples)) >= accuracy(predict(bo.model, rest.examples))
@@ -183,8 +181,8 @@ class TestFineTuning:
     def test_deterministic(self):
         _, src, t_fs, _ = _task()
         spec = TrainSpec(method="fine_tuning", epochs=2, alpha=0.05, seed=6, batch_size=16)
-        a = train_fine_tuning(spec, _model(), src.examples, t_fs.examples)
-        b = train_fine_tuning(spec, _model(), src.examples, t_fs.examples)
+        a = run_training(spec, _model(), src.examples, t_fs.examples)
+        b = run_training(spec, _model(), src.examples, t_fs.examples)
         assert np.array_equal(a.model.params, b.model.params)
 
     def test_source_equal_to_target_doubles_training(self):
@@ -194,28 +192,25 @@ class TestFineTuning:
 
         _, _, t_fs, _ = _task()
         spec = TrainSpec(method="fine_tuning", epochs=3, alpha=0.05, seed=9, batch_size=16)
-        via_fine_tuning = train_fine_tuning(spec, _model(), t_fs.examples, t_fs.examples)
+        via_fine_tuning = run_training(spec, _model(), t_fs.examples, t_fs.examples)
         model = _model()
         rng = RngState(derive_seed(spec.seed, "fine_tuning"))
+        rows = featurize(model.arch, t_fs.examples)
         for _ in range(2 * spec.epochs):
-            model = sgd_epoch(model, t_fs.examples, spec.alpha, spec.batch_size, rng)
+            model = sgd_epoch(model, rows, spec.alpha, spec.batch_size, rng)
         assert np.array_equal(via_fine_tuning.model.params, model.params)
 
 
 class TestDataMerging:
-    def test_merged_pool_size(self):
-        _, src, t_fs, _ = _task()
-        merged = merge_datasets(src.examples, t_fs.examples)
-        assert len(merged) == len(src.examples) + len(t_fs.examples)
-
     def test_tiny_target_behaves_like_source_training(self):
         _, src, t_fs, rest = _task(seed=17)
         tiny = t_fs.examples[:2]
         spec = TrainSpec(method="data_merging", epochs=6, alpha=0.04, seed=2, batch_size=16)
-        merged_run = train_data_merging(spec, _model(), src.examples, tiny)
-        source_only = train_backbone_only(
+        merged_run = run_training(spec, _model(), src.examples, tiny)
+        source_only = run_training(
             TrainSpec(method="backbone_only", epochs=6, alpha=0.04, seed=2, batch_size=16),
             _model(),
+            (),
             src.examples,
         )
         acc_merged = accuracy(predict(merged_run.model, rest.examples))
@@ -225,8 +220,8 @@ class TestDataMerging:
     def test_deterministic(self):
         _, src, t_fs, _ = _task()
         spec = TrainSpec(method="data_merging", epochs=2, alpha=0.05, seed=3, batch_size=16)
-        a = train_data_merging(spec, _model(), src.examples, t_fs.examples)
-        b = train_data_merging(spec, _model(), src.examples, t_fs.examples)
+        a = run_training(spec, _model(), src.examples, t_fs.examples)
+        b = run_training(spec, _model(), src.examples, t_fs.examples)
         assert np.array_equal(a.model.params, b.model.params)
 
 
@@ -240,7 +235,7 @@ class TestTrainMwr:
         spec_cfg = ShiftSpec(n_source=2000, n_target=300, source_prefix="w", target_prefix="w")
         src, tgt_pool = gen_synthetic_shift(spec_cfg, RngState(11))
         t_fs, _ = sample_few_shot(tgt_pool, FewShotSpec(k=50, seed=1))
-        report = train_mwr(
+        report = run_training(
             self._mwr_spec(alpha=0.05, epochs=10), _model(seed=9, dim=32, hidden=32), src.examples, t_fs.examples
         )
         weights = np.array([row.weight for row in report.weight_trace])
@@ -261,10 +256,10 @@ class TestTrainMwr:
         src, tgt_pool = gen_synthetic_shift(spec_cfg, RngState(12))
         t_fs, rest = sample_few_shot(tgt_pool, FewShotSpec(k=25, seed=2))
         model = _model(seed=10, dim=32, hidden=32)
-        report = train_mwr(self._mwr_spec(alpha=0.04, epochs=6), model, src.examples, t_fs.examples)
+        report = run_training(self._mwr_spec(alpha=0.04, epochs=6), model, src.examples, t_fs.examples)
         weights = np.array([row.weight for row in report.weight_trace])
         unflipped = [Example(ex.text_a, ex.text_b, 1 - ex.label) for ex in src.examples]
-        matched = train_mwr(self._mwr_spec(alpha=0.04, epochs=6), model, unflipped, t_fs.examples)
+        matched = run_training(self._mwr_spec(alpha=0.04, epochs=6), model, unflipped, t_fs.examples)
         matched_weights = np.array([row.weight for row in matched.weight_trace])
         assert weights.mean() <= 0.05 * matched_weights.mean()
         acc_before = accuracy(predict(model, rest.examples))
@@ -274,7 +269,7 @@ class TestTrainMwr:
     def test_weight_trace_shape_and_ids(self):
         _, src, t_fs, _ = _task()
         spec = self._mwr_spec(epochs=2, batch=32)
-        report = train_mwr(spec, _model(), src.examples, t_fs.examples)
+        report = run_training(spec, _model(), src.examples, t_fs.examples)
         steps_per_epoch = (len(src.examples) + 31) // 32
         assert len(report.weight_trace) == 2 * len(src.examples)
         assert max(row.step for row in report.weight_trace) == 2 * steps_per_epoch - 1
@@ -284,8 +279,8 @@ class TestTrainMwr:
     def test_deterministic(self):
         _, src, t_fs, _ = _task()
         spec = self._mwr_spec(epochs=2)
-        a = train_mwr(spec, _model(), src.examples, t_fs.examples)
-        b = train_mwr(spec, _model(), src.examples, t_fs.examples)
+        a = run_training(spec, _model(), src.examples, t_fs.examples)
+        b = run_training(spec, _model(), src.examples, t_fs.examples)
         assert np.array_equal(a.model.params, b.model.params)
         assert a.weight_trace == b.weight_trace
 
@@ -301,7 +296,7 @@ class TestFeaturizedRunsMatchExampleLoops:
         # a target batch smaller than the target set makes every step draw one
         reg = RegulatorConfig(learning_rate=0.05, init_policy="random", source_batch_size=8, target_batch_size=12)
         spec = TrainSpec(method="mwr", epochs=2, alpha=0.05, seed=3, batch_size=8, regulator=reg)
-        report = train_mwr(spec, model, src.examples, t_fs.examples)
+        report = run_training(spec, model, src.examples, t_fs.examples)
         oracle, rows = mwr_loop(spec, model, src.examples, t_fs.examples)
         assert np.array_equal(report.model.params, oracle.params)
         assert [(r.step, r.example_id, r.metagrad, r.weight) for r in report.weight_trace] == rows
@@ -311,7 +306,7 @@ class TestFeaturizedRunsMatchExampleLoops:
         _, src, t_fs, _ = _task(n_source=120, n_target=60)
         model = _model(kind=kind)
         spec = TrainSpec(method="data_merging", epochs=2, alpha=0.05, seed=3, batch_size=8)
-        report = train_data_merging(spec, model, src.examples, t_fs.examples)
+        report = run_training(spec, model, src.examples, t_fs.examples)
         assert np.array_equal(report.model.params, data_merging_loop(spec, model, src.examples, t_fs.examples).params)
 
 
@@ -323,7 +318,7 @@ class TestColumnarTrace:
         model = _model(kind="bilinear")
         reg = RegulatorConfig(learning_rate=0.05, init_policy="random", source_batch_size=7, target_batch_size=12)
         spec = TrainSpec(method="mwr", epochs=2, alpha=0.05, seed=4, batch_size=7, regulator=reg)
-        trace = train_mwr(spec, model, src.examples, t_fs.examples).weight_trace
+        trace = run_training(spec, model, src.examples, t_fs.examples).weight_trace
         rows = tuple(WeightTraceRow(*row) for row in mwr_loop(spec, model, src.examples, t_fs.examples)[1])
         assert isinstance(trace, WeightTrace)
         assert len(trace) == len(rows) == 2 * len(src.examples)
@@ -344,6 +339,31 @@ class TestColumnarTrace:
         spec = TrainSpec(method="data_merging", epochs=1, alpha=0.05, seed=1)
         trace = run_training(spec, _model(), src.examples, t_fs.examples).weight_trace
         assert len(trace) == 0 and list(trace) == [] and trace == ()
+
+
+class TestRunTrainingGuard:
+    """run_training checks both sets once, for every method, with the
+    messages each method gave when it checked them itself."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("empty", ["source", "target"])
+    def test_empty_set_messages(self, method, empty):
+        _, src, t_fs, _ = _task(n_source=40, n_target=40)
+        spec = TrainSpec(method=method, epochs=1, alpha=0.05, seed=1, batch_size=8)
+        source = () if empty == "source" else src.examples
+        target = () if empty == "target" else t_fs.examples
+        if method == "backbone_only" and empty == "source":
+            # backbone_only never reads the source set
+            report = run_training(spec, _model(), source, target)
+            full = run_training(spec, _model(), src.examples, target)
+            assert np.array_equal(report.model.params, full.model.params)
+            return
+        if method == "backbone_only":
+            message = "target few-shot set must be non-empty"
+        else:
+            message = "both training sets must be non-empty"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            run_training(spec, _model(), source, target)
 
 
 class TestTargetLossOnRows:
