@@ -184,9 +184,11 @@ def time_headline_mwr(mw) -> dict:
     finally:
         exp.run_training = original
     (seconds, cpu_s, report), = runs
-    # row iteration reads a tuple of rows (older checkouts) and a WeightTrace alike
-    rows = [(row.step, row.example_id, row.metagrad, row.weight) for row in report.weight_trace]
-    columns = [np.array(column) for column in zip(*rows)]
+    trace = report.weight_trace
+    if hasattr(trace, "columns"):
+        columns = trace.columns
+    else:  # older checkouts keep the trace as a tuple of rows
+        columns = [np.array(column) for column in zip(*((r.step, r.example_id, r.metagrad, r.weight) for r in trace))]
     return {
         "train_s": seconds,
         "train_cpu_s": cpu_s,

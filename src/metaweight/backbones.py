@@ -53,6 +53,7 @@ read-only at construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -70,6 +71,10 @@ MAX_EMBEDDING_ENTRIES = 1 << 24
 # Largest trainable parameter vector, in float64 entries (128 MiB), under
 # the same rule: an oversized hidden_dim or bilinear dim is refused up front.
 MAX_PARAM_COUNT = 1 << 24
+# Unseen examples featurized per bulk-kernel call (128 rows of 4 * 32
+# float64 are 128 KiB at d = 32): it bounds the kernel's temporaries to a
+# few hundred KiB whatever the set's size, and still amortizes its numpy calls.
+FEATURIZE_BLOCK = 128
 
 TokenSeq = tuple[str, ...]
 
@@ -103,7 +108,14 @@ def stable_token_hash(token: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Frozen hashed-bucket embeddings; never updated by any training step."""
+    """Frozen hashed-bucket embeddings; never updated by any training step.
+
+    Two memos ride along: `_bucket_cache` maps a token to its bucket, and
+    `_feature_cache` maps an Example to its read-only unscaled feature row.
+    `featurize` fills the feature memo a block of unseen examples at a time,
+    `example_features` one example at a time; both give the bytes
+    featurize_pair gives.
+    """
 
     buckets: int
     dim: int
@@ -152,6 +164,34 @@ def featurize_pair(text_a: Sequence[str], text_b: Sequence[str], emb: EmbeddingT
     u = np.add.reduce(rows[:na], axis=0) / na if na else np.zeros(emb.dim)
     v = np.add.reduce(rows[na:], axis=0) / nb if nb else np.zeros(emb.dim)
     return np.concatenate((u, v, np.abs(u - v), u * v))
+
+
+def _featurize_pairs(examples: Sequence[Example], emb: EmbeddingTable) -> np.ndarray:
+    """featurize_pair's rows for many examples at once, bit for bit.
+
+    One lookup pass buckets every token of the block. Sides are grouped by
+    token count; each group of G sides of length L is one (G, L, d) gather,
+    np.add.reduce over axis 1 and divided by L, which is each side's
+    np.add.reduce over its rows divided by its length. An empty side pools
+    to zeros.
+    """
+    sides = [side for ex in examples for side in (ex.text_a, ex.text_b)]
+    tokens = list(itertools.chain.from_iterable(sides))
+    ids = list(map(emb._bucket_cache.get, tokens))
+    if None in ids:
+        ids = [emb.bucket(t) for t in tokens]
+    ids = np.array(ids, dtype=np.intp)
+    starts = np.cumsum([0, *map(len, sides)])
+    groups: dict[int, list[int]] = {}  # side length -> the sides of that length
+    for i, side in enumerate(sides):
+        groups.setdefault(len(side), []).append(i)
+    pooled = np.zeros((len(sides), emb.dim))
+    for n, group in groups.items():
+        if n:
+            block = emb.values[ids[starts[group][:, None] + np.arange(n)]]
+            pooled[group] = np.add.reduce(block, axis=1) / n
+    u, v = pooled[0::2], pooled[1::2]
+    return np.concatenate((u, v, np.abs(u - v), u * v), axis=1)
 
 
 def param_count(kind: str, embedding_dim: int, class_count: int, hidden_dim: int) -> int:
@@ -360,9 +400,10 @@ def batch_loss(model: ModelState, batch: Batch) -> float:
 class FeatureBatch:
     """Input-scaled feature rows with their labels, one row per example.
 
-    Built once per dataset by `featurize`; training steps then work on row
-    slices from `take`. Scaling is elementwise, so a slice holds exactly the
-    values that featurizing the same examples as a batch would give.
+    Built once per dataset by `featurize`, as a scaled copy of the memo rows
+    (hits read, misses built by its bulk kernel); training steps then work on
+    row slices from `take`. Scaling is elementwise, so a slice holds exactly
+    the values that featurizing the same examples as a batch would give.
     """
 
     scaled: np.ndarray
@@ -389,13 +430,30 @@ def class_members(labels: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def featurize(arch: BackboneArch, examples: Sequence[Example]) -> FeatureBatch:
-    """Scaled feature matrix and label vector of a sequence of examples."""
+    """Scaled feature matrix and label vector of a sequence of examples.
+
+    Labels are checked before any feature is built. Rows already in the
+    feature memo are reused; the others are built FEATURIZE_BLOCK examples
+    at a time by the bulk kernel `_featurize_pairs`, with the bytes
+    featurize_pair gives (an unseen example listed twice is built twice, to
+    the same bytes), and each goes into the memo as a read-only row, where
+    later calls, `predict` and `example_features` find it.
+    """
     labels = np.fromiter((ex.label for ex in examples), dtype=np.int64, count=len(examples))
     if labels.size and labels.max() >= arch.class_count:
         raise DomainError(f"label {labels.max()} out of range for {arch.class_count} classes")
     if len(examples) == 0:
         return FeatureBatch(np.zeros((0, arch.feature_dim)), labels)
-    scaled = np.stack([example_features(arch, ex) for ex in examples])
+    cache = arch.embedding._feature_cache
+    rows = [cache.get(ex) for ex in examples]
+    misses = [i for i, row in enumerate(rows) if row is None]
+    for start in range(0, len(misses), FEATURIZE_BLOCK):
+        block = misses[start : start + FEATURIZE_BLOCK]
+        feats = _featurize_pairs([examples[i] for i in block], arch.embedding)
+        feats.setflags(write=False)
+        for i, row in zip(block, feats):
+            rows[i] = cache[examples[i]] = row
+    scaled = np.array(rows)
     scaled *= arch.input_scale
     return FeatureBatch(scaled, labels)
 

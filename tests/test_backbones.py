@@ -21,6 +21,7 @@ from helpers import (
 )
 from metaweight.backbones import (
     BACKBONE_KINDS,
+    FEATURIZE_BLOCK,
     MAX_PARAM_COUNT,
     BackboneArch,
     Example,
@@ -167,6 +168,69 @@ class TestFeaturizeMatchesOracle:
         assert featurize(arch, examples).scaled.tobytes() == oracle_scaled_rows(arch, examples).tobytes()
         model = random_model(arch, seed % 1000)
         assert np.array_equal(predict(model, examples).predicted, oracle_predictions(model, examples))
+
+
+def _bulk_set(seed: int, n: int, classes: int = 3) -> list[Example]:
+    """n examples with sides of 0-40 tokens: pooled tokens repeat, fresh ones
+    (unique to their side) are never bucketed before featurize, and one
+    example in five repeats an earlier one."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for i in range(n):
+        if examples and rng.random() < 0.2:
+            examples.append(examples[rng.integers(len(examples))])
+            continue
+        sides = []
+        for side in "ab":
+            width = int(rng.choice([0, 1, 2, 7, 8, 9, 40])) if rng.random() < 0.3 else int(rng.integers(0, 16))
+            tokens = [_POOL_TOKENS[j] if j < len(_POOL_TOKENS) else f"{side}{i}.{k}"
+                      for k, j in enumerate(rng.integers(0, 2 * len(_POOL_TOKENS), width))]
+            sides.append(tokens)
+        examples.append(Example(sides[0], sides[1], int(rng.integers(classes))))
+    return examples
+
+
+class TestBulkFeaturize:
+    """featurize builds its unseen rows FEATURIZE_BLOCK examples at a time
+    with one bulk kernel; rows, memo and predictions must be those of the
+    per-pair path."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3, 8, 32]), seed=st.integers(0, 2**32 - 1), warm=st.integers(0, 90))
+    def test_blocks_match_oracle_rows(self, dim, seed, warm):
+        arch = BackboneArch("logistic", build_embedding(seed, 97, dim), class_count=3)
+        examples = _bulk_set(seed, 2 * FEATURIZE_BLOCK + 45)
+        hits = examples[::7][:warm]  # a pre-featurized subset: memo hits
+        featurize(arch, hits)
+        kept = {ex: arch.embedding._feature_cache[ex] for ex in hits}
+        batch = featurize(arch, examples)
+        assert batch.scaled.tobytes() == oracle_scaled_rows(arch, examples).tobytes()
+        assert batch.labels.tolist() == [ex.label for ex in examples]
+        # memo hits are reused, not rebuilt
+        assert all(arch.embedding._feature_cache[ex] is row for ex, row in kept.items())
+        assert len(arch.embedding._feature_cache) == len(set(examples))
+
+    @pytest.mark.parametrize("kind", BACKBONE_KINDS)
+    def test_memo_rows_after_bulk_featurize(self, kind):
+        arch = small_arch(kind, dim=3, hidden=5, buckets=61, classes=3)
+        examples = _bulk_set(5, FEATURIZE_BLOCK + 30)
+        featurize(arch, examples)
+        emb = arch.embedding
+        for ex in examples:
+            row = example_features(arch, ex)
+            assert row is emb._feature_cache[ex]  # a memo hit, not rebuilt
+            assert not row.flags.writeable
+            assert row.tobytes() == featurize_pair(ex.text_a, ex.text_b, emb).tobytes()
+        model = random_model(arch, 8)
+        assert np.array_equal(predict(model, examples).predicted, oracle_predictions(model, examples))
+
+    def test_out_of_range_label_builds_no_row(self):
+        arch = small_arch("mlp", classes=2)
+        examples = _bulk_set(9, 2 * FEATURIZE_BLOCK, classes=2)
+        examples.append(Example(("a",), ("b",), 2))
+        with pytest.raises(DomainError, match="out of range"):
+            featurize(arch, examples)
+        assert arch.embedding._feature_cache == {}
 
 
 class TestForward:
