@@ -5,8 +5,9 @@ import sys
 
 import numpy as np
 
-from metaweight.backbones import BackboneArch, ModelState, build_embedding
+from metaweight.backbones import ModelState
 from metaweight.data import FewShotSpec, ShiftSpec, gen_synthetic_shift, rule_label, sample_few_shot
+from metaweight.experiment import BackboneConfig
 from metaweight.stats import accuracy, predict
 from metaweight.training import TrainSpec, run_training, write_weight_trace
 from metaweight.vectors import RngState, derive_seed
@@ -18,7 +19,7 @@ def main() -> int:
     source, target_pool = gen_synthetic_shift(shift, RngState(derive_seed(seed, "data")))
     t_fs, test = sample_few_shot(target_pool, FewShotSpec(k=50, seed=derive_seed(seed, "split")))
 
-    arch = BackboneArch("mlp", build_embedding(derive_seed(seed, "embedding"), 4096, 32), 2)
+    arch = BackboneConfig(embedding_dim=32).arch(2, derive_seed(seed, "embedding"))
     model = ModelState(arch.init_params(derive_seed(seed, "init")), arch)
     spec = TrainSpec(method="mwr", epochs=20, alpha=0.05, seed=derive_seed(seed, "train"), batch_size=16)
     report = run_training(spec, model, source.examples, t_fs.examples)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .backbones import BACKBONE_KINDS, BackboneArch, ModelState, build_embedding
+from .backbones import BACKBONE_KINDS, ModelState
 from .data import (
     FewShotSpec,
     ShiftSpec,
@@ -26,7 +26,7 @@ from .data import (
     write_tsv,
 )
 from .errors import ConfigError, DataError, DimensionError, DomainError, NumericalError
-from .experiment import emit_results, load_config, load_results, run_experiment
+from .experiment import BackboneConfig, emit_results, load_config, load_results, run_experiment
 from .regulator import INIT_POLICIES, RegulatorConfig
 from .stats import accuracy, predict
 from .training import METHODS, TrainSpec, run_training, save_report, write_weight_trace
@@ -95,34 +95,28 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    t_fs = load_tsv(args.target_fs, args.max_len)
-    source = load_tsv(args.source, args.max_len) if args.source else None
-    if args.method != "backbone_only" and source is None:
-        raise ConfigError(f"--source is required for method {args.method}")
-    class_count = t_fs.class_count
-    if source is not None:
-        if source.class_count != t_fs.class_count:
-            raise DataError(
-                f"source has {source.class_count} classes but target has {t_fs.class_count}"
-            )
-    emb = build_embedding(derive_seed(args.seed, "embedding"), args.buckets, args.embedding_dim)
-    arch = BackboneArch(args.backbone, emb, class_count, args.hidden_dim)
-    model = ModelState(arch.init_params(derive_seed(args.seed, "init")), arch)
-    regulator = None
-    if args.method == "mwr":
-        regulator = RegulatorConfig(
-            init_policy=args.init_policy,
-            clamp_nonnegative=not args.no_clamp,
-            target_batch_size=args.target_batch_size,
-        )
+    if args.max_len < 1:
+        raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
+    backbone = BackboneConfig(args.backbone, args.embedding_dim, args.buckets, args.hidden_dim)
+    regulator = RegulatorConfig(
+        init_policy=args.init_policy, clamp_nonnegative=not args.no_clamp, target_batch_size=args.target_batch_size
+    )
     spec = TrainSpec(
         method=args.method,
         epochs=args.epochs,
         alpha=args.alpha,
         seed=args.seed,
         batch_size=args.batch_size,
-        regulator=regulator,
+        regulator=regulator if args.method == "mwr" else None,
     )
+    if args.method != "backbone_only" and not args.source:
+        raise ConfigError(f"--source is required for method {args.method}")
+    t_fs = load_tsv(args.target_fs, args.max_len)
+    source = load_tsv(args.source, args.max_len) if args.source else None
+    if source is not None and source.class_count != t_fs.class_count:
+        raise DataError(f"source has {source.class_count} classes but target has {t_fs.class_count}")
+    arch = backbone.arch(t_fs.class_count, derive_seed(args.seed, "embedding"))
+    model = ModelState(arch.init_params(derive_seed(args.seed, "init")), arch)
     report = run_training(spec, model, source.examples if source else (), t_fs.examples)
     print(f"{args.method}: final target-train loss {report.target_loss_trace[-1]:.6f}")
     if args.out:

@@ -21,7 +21,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,23 +128,12 @@ def balance_downsample(ds: Dataset, seed: int) -> Dataset:
     return Dataset(name=ds.name, class_count=ds.class_count, examples=picked)
 
 
-def filter_labels(ds: Dataset, keep: Iterable[int], relabel: Mapping[int, int] | None = None) -> Dataset:
-    """Drop labels outside `keep`; remap survivors to the contiguous range 0..C'-1.
-
-    With relabel None the kept labels are remapped in sorted order. An
-    explicit mapping must cover every kept label and hit 0..C'-1 exactly.
-    """
+def filter_labels(ds: Dataset, keep: Iterable[int]) -> Dataset:
+    """Drop labels outside `keep`; remap survivors, in sorted order, to 0..C'-1."""
     keep_set = {int(k) for k in keep}
     if not keep_set:
         raise ConfigError("keep must name at least one label")
-    if relabel is None:
-        relabel = {old: new for new, old in enumerate(sorted(keep_set))}
-    missing = keep_set - set(relabel)
-    if missing:
-        raise ConfigError(f"relabel mapping does not cover kept labels {sorted(missing)}")
-    targets = sorted(relabel[k] for k in keep_set)
-    if targets != list(range(len(keep_set))):
-        raise ConfigError(f"relabel must map kept labels onto 0..{len(keep_set) - 1}, got {targets}")
+    relabel = {old: new for new, old in enumerate(sorted(keep_set))}
     survivors = tuple(
         Example(ex.text_a, ex.text_b, relabel[ex.label]) for ex in ds.examples if ex.label in keep_set
     )

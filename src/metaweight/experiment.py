@@ -48,6 +48,10 @@ class FileData:
     balance: bool = False
     balance_seed: int = 0
 
+    def __post_init__(self):
+        if self.max_len < 1:
+            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -69,6 +73,11 @@ class BackboneConfig:
         # two classes is the fewest a backbone takes, so this is a lower bound
         param_count(self.kind, self.embedding_dim, 2, self.hidden_dim)
 
+    def arch(self, class_count: int, embedding_seed: int) -> BackboneArch:
+        """This backbone at class_count classes, over the table drawn from embedding_seed."""
+        emb = build_embedding(embedding_seed, self.buckets, self.embedding_dim)
+        return BackboneArch(self.kind, emb, class_count, self.hidden_dim)
+
 
 # Largest n_permutations a config may ask for. A permutation test computes
 # n_perm words per example on which the two methods differ, so its time is
@@ -84,12 +93,12 @@ class ExperimentConfig:
     source_batch_size stay None ("the TrainSpec's"), and every mwr run's
     TrainSpec fills them in."""
 
-    data_synthetic: ShiftSpec | None
-    data_files: FileData | None
-    backbone: BackboneConfig
-    methods: tuple[str, ...]
-    shots: tuple[int, ...]
-    seeds: tuple[int, ...]
+    data_synthetic: ShiftSpec | None = None
+    data_files: FileData | None = None
+    backbone: BackboneConfig = BackboneConfig()
+    methods: tuple[str, ...] = ()
+    shots: tuple[int, ...] = ()
+    seeds: tuple[int, ...] = ()
     alpha: float = 0.05
     epochs: int = 20
     batch_size: int = 64
@@ -122,20 +131,17 @@ class ExperimentConfig:
             )
 
 
-# The JSON keys: one per field, with "data" holding data_synthetic or data_files.
-_TOP_KEYS = {"data"} | {f.name for f in dataclasses.fields(ExperimentConfig) if not f.name.startswith("data_")}
-# The regulator keys; its learning_rate and source_batch_size are alpha and batch_size.
-_REGULATOR_KEYS = ("init_policy", "clamp_nonnegative", "target_batch_size")
-
-
-def _require_keys(mapping: Mapping, allowed, where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-# The field annotations a config value is checked against, the Python types
-# each accepts and how an error names it; bool is never a number here.
+# The section classes that field annotations (strings) name.
+_SECTIONS = {cls.__name__: cls for cls in (BackboneConfig, RegulatorConfig)}
+# Fields a section's JSON does not hold under their own name: the regulator's
+# learning_rate and source_batch_size are the config's alpha and batch_size,
+# and the data fields are the "synthetic" or "files" key of its "data" section.
+_HIDDEN = {
+    RegulatorConfig: ("learning_rate", "source_batch_size"),
+    ExperimentConfig: ("data_synthetic", "data_files"),
+}
+# The scalar annotations, the Python types each accepts and how an error
+# names it; bool is never a number here.
 _KINDS = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
@@ -144,43 +150,54 @@ _KINDS = {
 }
 
 
+def _fields(cls) -> dict[str, str]:
+    """The JSON keys of a section, each with its field's annotation."""
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.name not in _HIDDEN.get(cls, ())}
+
+
+def _require_keys(mapping: Mapping, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def _is_a(value, kind: str) -> bool:
     types = _KINDS[kind][0]
     return isinstance(value, types) and isinstance(value, bool) == (bool in types)
 
 
-def _check_fields(cls, mapping: Mapping, where: str) -> None:
-    """Values of fields annotated int, float, bool or str, alone or `| None`,
-    must have that type (the annotations are strings); callers check the rest."""
-    for f in dataclasses.fields(cls):
-        kinds = f.type.split(" | ")
-        if f.name not in mapping or not set(kinds) <= set(_KINDS) | {"None"}:
-            continue
-        value = mapping[f.name]
-        if value is None and "None" in kinds:
-            continue
-        if not any(_is_a(value, k) for k in kinds if k != "None"):
-            wanted = " or ".join(_KINDS[k][1] if k in _KINDS else "null" for k in kinds)
-            raise ConfigError(f"{where}.{f.name} must be {wanted}, got {value!r}")
+def _parse(annotation: str, value, where: str):
+    """value as a field annotated `annotation` holds it: a section class, a
+    `tuple[T, ...]` (a JSON list) or a _KINDS scalar, each alone or
+    `| None`. A value of another type is a ConfigError naming `where`."""
+    kinds = annotation.split(" | ")
+    if value is None and "None" in kinds:
+        return None
+    if kinds[0] in _SECTIONS:
+        return _section(_SECTIONS[kinds[0]], value, where)
+    if kinds[0].startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = kinds[0][len("tuple[") : -len(", ...]")]
+        return tuple(_parse(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if not any(_is_a(value, k) for k in kinds if k != "None"):
+        wanted = " or ".join(_KINDS[k][1] if k in _KINDS else "null" for k in kinds)
+        raise ConfigError(f"{where} must be {wanted}, got {value!r}")
+    return value
 
 
-def _build(cls, mapping: Mapping, where: str, keys=None):
-    """cls from a section whose keys are among `keys` (default: every field)."""
+def _section(cls, mapping, where: str, **given):
+    """cls from a JSON section (where "" is the whole config), each key
+    parsed by its field's annotation; `given` holds the hidden fields."""
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {mapping!r}")
-    _require_keys(mapping, keys or {f.name for f in dataclasses.fields(cls)}, where)
-    _check_fields(cls, mapping, where)
+    fields = _fields(cls)
+    _require_keys(mapping, fields, where or "config")
+    parsed = {key: _parse(fields[key], value, f"{where}.{key}" if where else key) for key, value in mapping.items()}
     try:
-        return cls(**mapping)
+        return cls(**given, **parsed)
     except TypeError as exc:
         raise ConfigError(f"bad {where} section: {exc}") from None
-
-
-def _list_of(raw: Mapping, key: str, kind: str) -> tuple:
-    values = raw.get(key, ())
-    if not isinstance(values, (list, tuple)) or not all(_is_a(v, kind) for v in values):
-        raise ConfigError(f"{key} must be a list whose items are each {_KINDS[kind][1]}, got {values!r}")
-    return tuple(values)
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
@@ -188,38 +205,19 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     must be a mapping, and every value must have the type its field declares."""
     if not isinstance(raw, Mapping):
         raise ConfigError("config must be a mapping")
-    _require_keys(raw, _TOP_KEYS, "config")
     data = raw.get("data")
     if not isinstance(data, Mapping):
         raise ConfigError("config needs a 'data' section")
-    _require_keys(data, {"synthetic", "files"}, "data")
-    if ("synthetic" in data) == ("files" in data):
-        raise ConfigError("data section must contain exactly one of 'synthetic' or 'files'")
-    synthetic = None
-    files = None
-    if "synthetic" in data:
-        synthetic = _build(ShiftSpec, data["synthetic"], "data.synthetic")
-    else:
-        files_raw = data["files"]
-        if isinstance(files_raw, Mapping) and files_raw.get("keep_labels") is not None:
-            files_raw = dict(files_raw, keep_labels=_list_of(files_raw, "keep_labels", "int"))
-        files = _build(FileData, files_raw, "data.files")
-    sections = {
-        "backbone": _build(BackboneConfig, raw.get("backbone", {}), "backbone"),
-        "regulator": _build(RegulatorConfig, raw.get("regulator", {}), "regulator", _REGULATOR_KEYS),
-        "methods": _list_of(raw, "methods", "str"),
-        "shots": _list_of(raw, "shots", "int"),
-        "seeds": _list_of(raw, "seeds", "int"),
-    }
-    scalars = {key: value for key, value in raw.items() if key not in sections and key != "data"}
-    _check_fields(ExperimentConfig, scalars, "config")
-    return ExperimentConfig(data_synthetic=synthetic, data_files=files, **sections, **scalars)
+    sources = {"synthetic": ShiftSpec, "files": FileData}
+    _require_keys(data, sources, "data")
+    given = {f"data_{key}": _section(sources[key], value, f"data.{key}") for key, value in data.items()}
+    return _section(ExperimentConfig, {key: value for key, value in raw.items() if key != "data"}, "", **given)
 
 
 def _plain(value):
-    """Dataclasses to dicts and tuples to lists, recursively."""
+    """Dataclasses to dicts (without hidden fields) and tuples to lists, recursively."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {name: _plain(getattr(value, name)) for name in _fields(type(value))}
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
@@ -227,21 +225,23 @@ def _plain(value):
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The JSON form config_from_dict reads back, keys in field order."""
-    out = _plain(cfg)
-    synthetic, files = out.pop("data_synthetic"), out.pop("data_files")
-    out["regulator"] = {key: out["regulator"][key] for key in _REGULATOR_KEYS}
-    return {"data": {"synthetic": synthetic} if files is None else {"files": files}, **out}
+    data = {"synthetic": _plain(cfg.data_synthetic)} if cfg.data_files is None else {"files": _plain(cfg.data_files)}
+    return {"data": data, **_plain(cfg)}
+
+
+def _read_json(path, error: type[MetaweightError]):
+    """The JSON value in a UTF-8 file; text that is not raises `error` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
-    return config_from_dict(raw)
+    return config_from_dict(_read_json(path, ConfigError))
 
 
 @dataclass(frozen=True)
@@ -331,15 +331,7 @@ def _run_cell(
     if len(test) == 0:
         raise DomainError("no target test examples left after the few-shot split")
 
-    emb = build_embedding(
-        derive_seed(seed, "embedding", shot), cfg.backbone.buckets, cfg.backbone.embedding_dim
-    )
-    arch = BackboneArch(
-        kind=cfg.backbone.kind,
-        embedding=emb,
-        class_count=source.class_count,
-        hidden_dim=cfg.backbone.hidden_dim,
-    )
+    arch = cfg.backbone.arch(source.class_count, derive_seed(seed, "embedding", shot))
     init = arch.init_params(derive_seed(seed, "init", shot))
 
     records: dict[str, PredictionRecord] = {}
@@ -463,13 +455,7 @@ def table_from_dict(payload: Mapping) -> ResultsTable:
 
 
 def load_results(path) -> ResultsTable:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    payload = _read_json(path, DataError)
     try:
         return table_from_dict(payload)
     except DataError as exc:

@@ -160,14 +160,6 @@ class TestFilterLabels:
         assert len(out) == 0
         assert any("empty" in r.message for r in caplog.records)
 
-    def test_mapping_must_cover_keep(self):
-        with pytest.raises(ConfigError):
-            filter_labels(self._three_class(), {0, 1}, relabel={0: 0})
-
-    def test_mapping_must_be_contiguous(self):
-        with pytest.raises(ConfigError):
-            filter_labels(self._three_class(), {0, 1}, relabel={0: 0, 1: 2})
-
     def test_empty_keep_rejected(self):
         with pytest.raises(ConfigError):
             filter_labels(self._three_class(), set())

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaweight.backbones import BACKBONE_KINDS
 from metaweight.cli import main
 from metaweight.data import ShiftSpec, load_tsv
 from metaweight.errors import ConfigError, DataError
@@ -22,7 +24,8 @@ from metaweight.experiment import (
     table_from_dict,
     table_to_dict,
 )
-from metaweight.training import MAX_EPOCHS
+from metaweight.regulator import INIT_POLICIES
+from metaweight.training import MAX_EPOCHS, METHODS
 
 
 def _tiny_config(**overrides) -> dict:
@@ -169,14 +172,25 @@ class TestConfigParsing:
             config_from_dict(_tiny_config(n_permutations=MAX_PERMUTATIONS + 1))
 
 
-def _key_paths(tree: dict, prefix: tuple = ()) -> list[tuple]:
-    """The path of every key at every depth of a nested config."""
+def _value_paths(tree, prefix: tuple = ()) -> list[tuple]:
+    """(path, value) for every value at every depth of a nested config, list items included."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
     paths = []
-    for key, value in tree.items():
-        paths.append(prefix + (key,))
-        if isinstance(value, dict):
-            paths.extend(_key_paths(value, prefix + (key,)))
+    for key, value in items:
+        paths.append((prefix + (key,), value))
+        if isinstance(value, (dict, list)):
+            paths.extend(_value_paths(value, prefix + (key,)))
     return paths
+
+
+def _replaced(tree: dict, path: tuple, value) -> dict:
+    """A copy of a nested config with the value at `path` replaced."""
+    raw = json.loads(json.dumps(tree))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
 
 
 _FILES_DATA = {"files": {"source": "a.tsv", "target": "b.tsv", "keep_labels": [0, 1], "balance": True}}
@@ -201,16 +215,112 @@ class TestConfigFuzz:
     def test_one_field_replaced_parses_or_is_config_error(self, base, data, value):
         """Any one field of a valid config replaced by any JSON value either
         parses or raises ConfigError, never another exception."""
-        path = data.draw(st.sampled_from(_key_paths(base)))
-        raw = json.loads(json.dumps(base))
-        node = raw
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        path, _ = data.draw(st.sampled_from(_value_paths(base)))
         try:
-            config_from_dict(raw)
+            config_from_dict(_replaced(base, path, value))
         except ConfigError:
             pass
+
+
+# For a valid value of each JSON type, values of other types.
+_WRONG_TYPED = {
+    bool: st.integers() | st.floats() | st.text(max_size=4) | st.lists(st.booleans(), max_size=2),
+    int: st.booleans() | st.floats() | st.text(max_size=4) | st.lists(st.integers(), max_size=2),
+    float: st.booleans() | st.text(max_size=4) | st.lists(st.floats(), max_size=2) | st.just({}),
+    str: st.booleans() | st.integers() | st.floats() | st.lists(st.text(max_size=4), max_size=2),
+    list: st.booleans() | st.integers() | st.text(max_size=4) | st.just({}),
+    dict: st.booleans() | st.integers() | st.text(max_size=4) | st.lists(st.integers(), max_size=2),
+}
+_texts = st.text(max_size=6)
+
+
+@st.composite
+def _valid_configs(draw) -> dict:
+    """A valid config: each section drawn, each optional key given or left to its default."""
+
+    def some(required: dict, optional: dict) -> dict:
+        return draw(st.fixed_dictionaries(required, optional=optional))
+
+    synthetic = some(
+        {"n_target": st.integers(1, 50).map(lambda h: 2 * h), "n_source": st.integers(50, 100).map(lambda h: 2 * h)},
+        {
+            "source_vocab": st.integers(1, 500),
+            "target_vocab": st.integers(1, 500),
+            "source_prefix": _texts,
+            "target_prefix": _texts,
+            "min_fillers": st.integers(1, 2),
+            "max_fillers": st.integers(2, 6),
+            "marker_pairs": st.integers(2, 5),
+            "marker_repeats": st.integers(1, 4),
+            "flip_fraction": st.floats(0, 1),
+        },
+    )
+    files = some(
+        {"source": _texts, "target": _texts},
+        {
+            "target_test": st.none() | _texts,
+            "max_len": st.integers(1, 100),
+            "keep_labels": st.none() | st.lists(st.integers(0, 9), max_size=3),
+            "balance": st.booleans(),
+            "balance_seed": st.integers(0, 2**32),
+        },
+    )
+    methods = draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
+    return some(
+        {
+            "data": st.sampled_from([{"synthetic": synthetic}, {"files": files}]),
+            "methods": st.just(methods),
+            "shots": st.lists(st.integers(1, 10**6), min_size=1, max_size=3),
+            "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+        },
+        {
+            "backbone": st.fixed_dictionaries({}, optional={
+                "kind": st.sampled_from(BACKBONE_KINDS),
+                "embedding_dim": st.integers(1, 64),
+                "buckets": st.integers(1, 4096),
+                "hidden_dim": st.integers(1, 64),
+            }),
+            "regulator": st.fixed_dictionaries({}, optional={
+                "init_policy": st.sampled_from(INIT_POLICIES),
+                "clamp_nonnegative": st.booleans(),
+                "target_batch_size": st.none() | st.integers(1, 10**6),
+            }),
+            "alpha": st.floats(min_value=0, exclude_min=True, allow_infinity=False) | st.integers(1, 10),
+            "epochs": st.integers(1, MAX_EPOCHS),
+            "batch_size": st.integers(1, 10**6),
+            "reference_method": st.none() | st.sampled_from(methods),
+            "n_permutations": st.integers(1, MAX_PERMUTATIONS),
+            "output_dir": _texts,
+        },
+    )
+
+
+class TestGenericParser:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_valid_configs())
+    def test_drawn_sections_round_trip(self, raw):
+        """A drawn valid config parses, its JSON echo holds every key it gave
+        with the value it gave, and the echo parses back to an equal config."""
+        cfg = config_from_dict(raw)
+        echo = json.loads(json.dumps(config_to_dict(cfg)))
+        for path, value in _value_paths(raw):
+            node = echo
+            for key in path:
+                node = node[key]
+            if not isinstance(value, (dict, list)):
+                assert node == value, path
+        assert config_from_dict(echo) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from(_FUZZ_BASES), data=st.data())
+    def test_wrong_type_is_a_config_error_naming_the_key(self, base, data):
+        """A value of the wrong type at any drawn key or list item is a
+        ConfigError whose message names the key."""
+        path, valid = data.draw(st.sampled_from([pv for pv in _value_paths(base) if type(pv[1]) in _WRONG_TYPED]))
+        raw = _replaced(base, path, data.draw(_WRONG_TYPED[type(valid)]))
+        name = [key for key in path if isinstance(key, str)][-1]
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            config_from_dict(raw)
 
 
 class TestRunExperiment:
@@ -450,6 +560,7 @@ class TestCli:
             ({"regulator": {"init_policy": "half"}}, "unknown init policy 'half'"),
             ({"regulator": {"target_batch_size": 0}}, "target_batch_size must be >= 1"),
             ({"backbone": {"kind": "mlp", "hidden_dim": 10**8}}, "mlp backbone has"),
+            ({"data": {"files": {"source": "a.tsv", "target": "b.tsv", "max_len": 0}}}, "max_len must be >= 1"),
         ],
     )
     def test_bad_regulator_or_backbone_exits_before_any_cell(self, tmp_path, capsys, override, message):
@@ -496,6 +607,25 @@ class TestCli:
         args = ["train", "--method", "mwr", "--target-fs", str(data), "--source", str(data), "--epochs", str(10**20)]
         assert main(args) == 1
         assert f"cap of {MAX_EPOCHS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--embedding-dim", "0"], "backbone dimensions must be >= 1"),
+            (["--buckets", "0"], "backbone dimensions must be >= 1"),
+            (["--hidden-dim", "0"], "backbone dimensions must be >= 1"),
+            (["--max-len", "0"], "--max-len must be >= 1"),
+            (["--target-batch-size", "0"], "target_batch_size must be >= 1"),
+        ],
+    )
+    def test_bad_train_flag_exit_code(self, tmp_path, capsys, flags, message):
+        """Each bad value exits 1, the last also with a method that does not use it."""
+        data = tmp_path / "t.tsv"
+        data.write_text("a b\tc d\t0\ne f\tg h\t1\n", encoding="utf-8")
+        args = ["train", "--method", "data_merging", "--target-fs", str(data), "--source", str(data), *flags]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["prep", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o.tsv")]) == 2
